@@ -1,5 +1,7 @@
 #include "core/async_rebuild.hpp"
 
+#include <utility>
+
 namespace sgm::core {
 
 AsyncRebuilder::~AsyncRebuilder() { wait(); }
@@ -10,13 +12,23 @@ void AsyncRebuilder::launch_job(std::function<graph::Clustering()> job) {
   {
     util::MutexLock lock(mu_);
     has_result_ = false;
+    error_ = nullptr;
   }
   running_.store(true);
   worker_ = std::thread([this, job = std::move(job)]() {
-    graph::Clustering r = job();
+    // An exception escaping the thread's entry function would terminate
+    // the process; carry it to the training thread instead.
+    graph::Clustering r;
+    std::exception_ptr error;
+    try {
+      r = job();
+    } catch (...) {
+      error = std::current_exception();
+    }
     {
       util::MutexLock lock(mu_);
       result_ = std::move(r);
+      error_ = std::move(error);
       has_result_ = true;
     }
     running_.store(false);  // last: publishes the result to try_take()
@@ -39,13 +51,16 @@ void AsyncRebuilder::launch(tensor::Matrix points,
 std::optional<graph::Clustering> AsyncRebuilder::try_take() {
   if (running_.load()) return std::nullopt;
   std::optional<graph::Clustering> out;
+  std::exception_ptr error;
   {
     util::MutexLock lock(mu_);
     if (!has_result_) return std::nullopt;
     has_result_ = false;
-    out.emplace(std::move(result_));
+    error = std::exchange(error_, nullptr);
+    if (!error) out.emplace(std::move(result_));
   }
   if (worker_.joinable()) worker_.join();
+  if (error) std::rethrow_exception(error);
   return out;
 }
 

@@ -6,6 +6,7 @@
 // keeps training on the previous clustering until a result lands.
 
 #include <atomic>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -43,10 +44,13 @@ class AsyncRebuilder {
   /// True while the worker is still computing.
   bool running() const { return running_.load(); }
 
-  /// Returns the finished clustering exactly once, if available.
+  /// Returns the finished clustering exactly once, if available. When the
+  /// job threw, rethrows its exception here instead, also exactly once;
+  /// the rebuilder is then idle and accepts the next launch.
   std::optional<graph::Clustering> try_take();
 
   /// Blocks until any in-flight rebuild finishes (used by tests/dtor).
+  /// Never throws: a job's exception waits for try_take().
   void wait();
 
  private:
@@ -58,6 +62,8 @@ class AsyncRebuilder {
   util::Mutex mu_;
   bool has_result_ SGM_GUARDED_BY(mu_) = false;
   graph::Clustering result_ SGM_GUARDED_BY(mu_);
+  /// Set instead of result_ when the job threw.
+  std::exception_ptr error_ SGM_GUARDED_BY(mu_);
 };
 
 }  // namespace sgm::core

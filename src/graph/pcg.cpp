@@ -1,10 +1,15 @@
 #include "graph/pcg.hpp"
 
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 
 namespace sgm::graph {
 
+namespace {
+
+// PCG on an operator `apply(x, y)`: y = A x for an SPD (or deflated-SPSD)
+// A, with a diagonal preconditioner.
 PcgResult pcg_solve(const std::function<void(const Vec&, Vec&)>& apply,
                     const Vec& diagonal, const Vec& b,
                     const PcgOptions& options, bool deflate, const Vec* x0) {
@@ -72,6 +77,8 @@ PcgResult pcg_solve(const std::function<void(const Vec&, Vec&)>& apply,
   if (deflate) deflate_constant(result.x);
   return result;
 }
+
+}  // namespace
 
 PcgResult pcg_solve_laplacian(const CsrGraph& g, const Vec& b,
                               const PcgOptions& options, const Vec* x0) {

@@ -4,9 +4,8 @@
 // Laplacians are singular (constant nullspace per connected component), so
 // the solver deflates the constant from the right-hand side and from every
 // iterate; on a connected graph this solves L x = b exactly in the range of
-// L, which is what effective-resistance and SPADE computations need.
-
-#include <functional>
+// L, which is what the effective-resistance computations need. (SPADE's
+// shifted solves use the direct factor in graph/cholesky.hpp.)
 
 #include "graph/laplacian.hpp"
 
@@ -37,13 +36,5 @@ struct PcgResult {
 PcgResult pcg_solve_laplacian(const CsrGraph& g, const Vec& b,
                               const PcgOptions& options = {},
                               const Vec* x0 = nullptr);
-
-/// Generic PCG on a user operator with a diagonal preconditioner.
-/// `apply(x, y)` must compute y = A x for an SPD (or deflated-SPSD) A.
-/// `x0` warm-starts the iteration (see pcg_solve_laplacian).
-PcgResult pcg_solve(const std::function<void(const Vec&, Vec&)>& apply,
-                    const Vec& diagonal, const Vec& b,
-                    const PcgOptions& options, bool deflate,
-                    const Vec* x0 = nullptr);
 
 }  // namespace sgm::graph

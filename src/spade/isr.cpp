@@ -5,6 +5,7 @@
 #include <functional>
 #include <stdexcept>
 
+#include "graph/cholesky.hpp"
 #include "graph/lanczos.hpp"
 #include "graph/laplacian.hpp"
 #include "util/rng.hpp"
@@ -57,8 +58,9 @@ IsrResult compute_isr_graphs(const CsrGraph& gx, const CsrGraph& gy,
   const int r =
       std::max(1, std::min<int>(options.rank, static_cast<int>(n) - 1));
 
-  // Regularized output Laplacian L_Y + shift*mean_deg*I so PCG solves are
-  // well posed even when G_Y is disconnected.
+  // Regularized output Laplacian L_Y + shift*mean_deg*I, so the solves are
+  // well posed even when G_Y is disconnected. One direct factor serves all
+  // rank x subspace-iteration solves.
   double mean_deg_y = 0.0;
   for (graph::NodeId u = 0; u < n; ++u) mean_deg_y += gy.weighted_degree(u);
   mean_deg_y /= static_cast<double>(n);
@@ -72,8 +74,7 @@ IsrResult compute_isr_graphs(const CsrGraph& gx, const CsrGraph& gy,
     graph::laplacian_apply(gy, x, y);
     for (std::size_t i = 0; i < x.size(); ++i) y[i] += shift * x[i];
   };
-  Vec diag_y = graph::laplacian_diagonal(gy);
-  for (double& d : diag_y) d += shift;
+  const graph::EnvelopeCholesky ly_factor(gy, shift);
 
   // --- Generalized subspace iteration for L_X v = lambda (L_Y + sI) v ---
   util::Rng rng(options.seed);
@@ -88,9 +89,8 @@ IsrResult compute_isr_graphs(const CsrGraph& gx, const CsrGraph& gy,
     for (int j = 0; j < r; ++j) {
       for (std::size_t i = 0; i < n; ++i) col[i] = v(i, j);
       apply_lx(col, w);
-      graph::PcgResult sol = graph::pcg_solve(apply_ly_shifted, diag_y, w,
-                                              options.pcg, /*deflate=*/false);
-      for (std::size_t i = 0; i < n; ++i) z(i, j) = sol.x[i];
+      ly_factor.solve(w, w);
+      for (std::size_t i = 0; i < n; ++i) z(i, j) = w[i];
     }
     b_orthonormalize(z, apply_ly_shifted);
 
@@ -105,7 +105,7 @@ IsrResult compute_isr_graphs(const CsrGraph& gx, const CsrGraph& gy,
         ar(i2, j) = s;
       }
     }
-    // Symmetrize away the numerical asymmetry from inexact solves.
+    // Symmetrize away the asymmetry rounding leaves in A_r.
     for (int a = 0; a < r; ++a)
       for (int b = a + 1; b < r; ++b) {
         const double s = 0.5 * (ar(a, b) + ar(b, a));

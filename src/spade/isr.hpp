@@ -20,7 +20,6 @@
 
 #include "graph/csr.hpp"
 #include "graph/knn.hpp"
-#include "graph/pcg.hpp"
 #include "tensor/matrix.hpp"
 
 namespace sgm::spade {
@@ -31,7 +30,6 @@ struct IsrOptions {
   /// Relative diagonal shift added to L_Y before solving (regularizes the
   /// singular Laplacian; expressed as a fraction of its mean degree).
   double shift = 1e-4;
-  graph::PcgOptions pcg{1e-6, 500, 0.0};
   /// kNN configuration for the output graph G_Y built over Y rows.
   graph::KnnGraphOptions y_knn{};
   std::uint64_t seed = 99;

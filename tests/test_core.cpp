@@ -7,8 +7,10 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <new>
 #include <numeric>
 #include <set>
+#include <string>
 
 #include "core/async_rebuild.hpp"
 #include "core/cluster_store.hpp"
@@ -17,6 +19,7 @@
 #include "core/refresh_scheduler.hpp"
 #include "core/scorer.hpp"
 #include "core/sgm_sampler.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -447,6 +450,40 @@ TEST(AsyncRebuilder, ProducesClusteringInBackground) {
   EXPECT_EQ(result->node_cluster.size(), 300u);
   // A second take must return nothing.
   EXPECT_FALSE(rebuilder.try_take().has_value());
+}
+
+TEST(AsyncRebuilder, JobExceptionRethrowsFromTryTake) {
+  sgm::core::AsyncRebuilder rebuilder;
+  rebuilder.launch_job([]() -> Clustering {
+    SGM_CHECK(false, "injected rebuild failure");
+    return {};
+  });
+  rebuilder.wait();  // must not throw
+  try {
+    (void)rebuilder.try_take();
+    ADD_FAILURE() << "try_take did not rethrow the job's exception";
+  } catch (const sgm::util::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("injected rebuild failure"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(rebuilder.try_take().has_value());  // delivered once
+
+  // The rebuilder is idle again and runs the next job normally.
+  rebuilder.launch_job([] {
+    Clustering c;
+    c.node_cluster = {0, 0, 1};
+    c.num_clusters = 2;
+    return c;
+  });
+  rebuilder.wait();
+  const auto result = rebuilder.try_take();
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->num_clusters, 2u);
+
+  // An untaken exception is dropped by the destructor without throwing.
+  sgm::core::AsyncRebuilder abandoned;
+  abandoned.launch_job([]() -> Clustering { throw std::bad_alloc(); });
 }
 
 TEST(AsyncRebuilder, ProviderEvaluationChargedToRefreshSeconds) {
