@@ -9,32 +9,25 @@
 // from the engine's own HDR histogram) and the realized mean batch size —
 // the number that explains the throughput curve.
 //
-// Queue arms: `--arm ring` (default; PR 8 MPSC ring + pooled response
-// slots) or `--arm mutex` (the PR 6 mutex + promise/future path, kept for
-// same-machine A/B). Also settable via SGM_BENCH_SERVE_ARM.
-//
-// I/O arms (`--io`, PR 10): `direct` (default; clients call the batcher
-// in-process — the ceiling the HTTP layer is measured against), `reactor`
-// (full HTTP loopback against the epoll reactor: N keep-alive connections,
-// each keeping a fixed pipeline of requests in flight, multiplexed onto a
-// few client threads) and `threads` (same HTTP clients against the
-// thread-per-connection mode — which needs one handler thread PER
-// connection to serve keep-alive clients at all; that thread count is the
-// A/B contrast). HTTP arms always use the ring queue.
+// I/O arms (`--io`): `direct` (default; clients call the blocking
+// InferenceBatcher::query in-process, no sockets) and `reactor` (full HTTP
+// loopback against the epoll reactor: N keep-alive connections, each
+// keeping a fixed pipeline of requests in flight, multiplexed onto a few
+// client threads).
 //
 // Env knobs:
 //   SGM_BENCH_SERVE_SECONDS  wall seconds per arm          (default 2)
 //   SGM_BENCH_SERVE_CLIENTS  comma list of client counts   (default 1,4,16,64)
-//                            (HTTP arms: connections)
+//                            (reactor arm: connections)
 //   SGM_BENCH_SERVE_BATCH    batcher max_batch             (default 64)
-//   SGM_BENCH_SERVE_ARM      ring | mutex                  (default ring)
-//   SGM_BENCH_SERVE_IO       direct | reactor | threads    (default direct)
+//   SGM_BENCH_SERVE_IO       direct | reactor              (default direct)
 //   SGM_BENCH_SERVE_PIPELINE HTTP requests in flight/conn  (default 8)
 //   SGM_BENCH_THREADS        forward threads per batch     (default 2)
 //   SGM_BENCH_JSON=1         write BENCH_serve.json next to the binary
 //                            (uploaded by the serve-smoke CI job; baselines
 //                            committed at bench/baselines/BENCH_serve_pr6.json
-//                            [mutex], BENCH_serve_pr8_ring.json [ring] and
+//                            [PR 6 mutex queue, since removed],
+//                            BENCH_serve_pr8_ring.json [ring] and
 //                            BENCH_serve_pr10_reactor.json [reactor sweep])
 
 #include <sys/resource.h>
@@ -110,14 +103,12 @@ struct ArmResult {
 
 ArmResult run_arm(serve::ModelRegistry& registry, const std::string& scenario,
                   std::size_t input_dim, std::size_t clients, double seconds,
-                  std::size_t max_batch, std::size_t num_threads,
-                  serve::QueueMode mode) {
+                  std::size_t max_batch, std::size_t num_threads) {
   serve::ServeMetrics metrics;
   serve::BatcherOptions opt;
   opt.max_batch = max_batch;
   opt.max_delay_s = 100e-6;
   opt.num_threads = num_threads;
-  opt.mode = mode;
   // Closed-loop clients never have more than `clients` queries in flight,
   // but keep headroom so the pool never backpressures the benchmark itself.
   opt.queue_capacity = std::max<std::size_t>(1024, 4 * clients);
@@ -177,7 +168,7 @@ ArmResult run_arm(serve::ModelRegistry& registry, const std::string& scenario,
   return r;
 }
 
-// --- HTTP loopback arms (PR 10) ---------------------------------------------
+// --- HTTP loopback arm -------------------------------------------------------
 
 /// Counts and removes the complete HTTP responses at the front of `buf`
 /// (head + Content-Length body). Partial tails stay for the next read.
@@ -209,7 +200,7 @@ ArmResult run_http_arm(serve::ModelRegistry& registry,
                        const std::string& scenario, std::size_t input_dim,
                        std::size_t clients, double seconds,
                        std::size_t max_batch, std::size_t num_threads,
-                       serve::IoMode io, std::size_t pipeline) {
+                       std::size_t pipeline) {
   serve::ServeMetrics metrics;
   serve::BatcherOptions opt;
   opt.max_batch = max_batch;
@@ -219,12 +210,7 @@ ArmResult run_http_arm(serve::ModelRegistry& registry,
   serve::InferenceBatcher batcher(registry, opt, &metrics);
 
   serve::HttpServerOptions hopt;
-  hopt.io_mode = io;
   hopt.max_pipeline = std::max<std::size_t>(64, 2 * pipeline);
-  // The A/B contrast in one line: keep-alive connections occupy a handler
-  // thread each in kThreads mode, while kReactor serves them all from its
-  // default fixed reactor count.
-  if (io == serve::IoMode::kThreads) hopt.num_workers = clients;
   serve::HttpServer server(registry, batcher, metrics, hopt);
   const std::uint16_t port = server.port();
 
@@ -335,13 +321,13 @@ void raise_fd_limit() {
 
 void maybe_write_json(const std::vector<ArmResult>& arms,
                       const std::string& scenario, std::size_t max_batch,
-                      std::size_t num_threads, const std::string& arm,
-                      const std::string& io, std::size_t pipeline) {
+                      std::size_t num_threads, const std::string& io,
+                      std::size_t pipeline) {
   const char* env = std::getenv("SGM_BENCH_JSON");
   if (!env || std::string(env) == "0") return;
   std::ofstream out("BENCH_serve.json");
-  out << "{\n  \"bench\": \"serve\",\n  \"arm\": \"" << arm
-      << "\",\n  \"io\": \"" << io << "\",\n  \"pipeline\": " << pipeline
+  out << "{\n  \"bench\": \"serve\",\n  \"io\": \"" << io
+      << "\",\n  \"pipeline\": " << pipeline
       << ",\n  \"scenario\": \"" << scenario
       << "\",\n  \"max_batch\": " << max_batch
       << ",\n  \"num_threads\": " << num_threads << ",\n  \"arms\": [\n";
@@ -372,32 +358,17 @@ int main(int argc, char** argv) {
   const std::size_t num_threads = env_size_t("SGM_BENCH_THREADS", 2);
   const std::string scenario = "poisson2d";
 
-  // --arm ring|mutex (or SGM_BENCH_SERVE_ARM); ring is the default path.
-  std::string arm = "ring";
-  if (const char* v = std::getenv("SGM_BENCH_SERVE_ARM")) arm = v;
-  // --io direct|reactor|threads (or SGM_BENCH_SERVE_IO).
+  // --io direct|reactor (or SGM_BENCH_SERVE_IO).
   std::string io = "direct";
   if (const char* v = std::getenv("SGM_BENCH_SERVE_IO")) io = v;
   for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--arm") == 0) arm = argv[i + 1];
     if (std::strcmp(argv[i], "--io") == 0) io = argv[i + 1];
   }
-  if (arm != "ring" && arm != "mutex") {
-    std::fprintf(stderr, "unknown arm '%s' (want ring|mutex)\n", arm.c_str());
-    return 2;
-  }
-  if (io != "direct" && io != "reactor" && io != "threads") {
-    std::fprintf(stderr, "unknown io '%s' (want direct|reactor|threads)\n",
+  if (io != "direct" && io != "reactor") {
+    std::fprintf(stderr, "unknown io '%s' (want direct|reactor)\n",
                  io.c_str());
     return 2;
   }
-  if (io != "direct" && arm != "ring") {
-    std::fprintf(stderr, "HTTP arms require --arm ring (reactor dispatches "
-                         "via query_async)\n");
-    return 2;
-  }
-  const serve::QueueMode mode =
-      arm == "ring" ? serve::QueueMode::kRing : serve::QueueMode::kMutex;
   const std::size_t pipeline = env_size_t("SGM_BENCH_SERVE_PIPELINE", 8);
   if (io != "direct") raise_fd_limit();
 
@@ -415,10 +386,10 @@ int main(int argc, char** argv) {
   registry.pin(scenario);
 
   std::printf(
-      "=== serve throughput [%s queue, %s io]: %s %zux%zu net, max_batch "
-      "%zu, %zu forward threads, %.1fs per arm ===\n",
-      arm.c_str(), io.c_str(), scenario.c_str(), cfg.net.width, cfg.net.depth,
-      max_batch, num_threads, seconds);
+      "=== serve throughput [%s io]: %s %zux%zu net, max_batch %zu, %zu "
+      "forward threads, %.1fs per arm ===\n",
+      io.c_str(), scenario.c_str(), cfg.net.width, cfg.net.depth, max_batch,
+      num_threads, seconds);
   std::printf("%8s %12s %12s %10s %10s %10s %11s %10s\n", "clients",
               "queries", "queries/s", "p50_us", "p99_us", "p999_us",
               "mean_batch", "full_frac");
@@ -428,19 +399,16 @@ int main(int argc, char** argv) {
     const ArmResult r =
         io == "direct"
             ? run_arm(registry, scenario, cfg.net.input_dim, clients, seconds,
-                      max_batch, num_threads, mode)
+                      max_batch, num_threads)
             : run_http_arm(registry, scenario, cfg.net.input_dim, clients,
-                           seconds, max_batch, num_threads,
-                           io == "reactor" ? serve::IoMode::kReactor
-                                           : serve::IoMode::kThreads,
-                           pipeline);
+                           seconds, max_batch, num_threads, pipeline);
     std::printf("%8zu %12llu %12.0f %10.2f %10.2f %10.2f %11.2f %10.3f\n",
                 r.clients, static_cast<unsigned long long>(r.queries), r.qps,
                 r.p50_us, r.p99_us, r.p999_us, r.mean_batch,
                 r.full_flush_fraction);
     arms.push_back(r);
   }
-  maybe_write_json(arms, scenario, max_batch, num_threads, arm, io, pipeline);
+  maybe_write_json(arms, scenario, max_batch, num_threads, io, pipeline);
   fs::remove_all(root);
   return 0;
 }

@@ -24,7 +24,6 @@ using util::binio::put_u32;
 using util::binio::put_u64;
 
 constexpr char kMagicV2[8] = {'S', 'G', 'M', 'C', 'K', 'P', 'T', '2'};
-constexpr const char* kMagicV1 = "sgm-mlp";  // legacy text format
 
 constexpr std::uint32_t kEncodingNone = 0;
 constexpr std::uint32_t kEncodingFourier = 1;
@@ -137,8 +136,7 @@ std::pair<const char*, std::size_t> checked_body(const std::string& raw) {
   if (version != kCheckpointFormatVersion)
     throw std::runtime_error("checkpoint: unsupported format version " +
                              std::to_string(version) + " (this build reads " +
-                             std::to_string(kCheckpointFormatVersion) +
-                             " and the legacy v1 text format)");
+                             std::to_string(kCheckpointFormatVersion) + ")");
   const char* body = raw.data() + kPrefix;
   const std::size_t body_size = raw.size() - kPrefix - kTrailer;
   ByteReader trailer_reader(raw.data() + raw.size() - kTrailer, kTrailer);
@@ -169,43 +167,6 @@ void write_v2(std::ostream& out, const std::string& body) {
   if (!out) throw std::runtime_error("checkpoint: stream write failed");
 }
 
-/// Legacy v1 text parser ("sgm-mlp" header). Parameters only — v1 carries
-/// no architecture, so shapes come from (and are checked against) `net`.
-void load_parameters_v1(Mlp& net, std::istream& in) {
-  std::string magic;
-  int version = 0;
-  std::size_t count = 0;
-  if (!(in >> magic >> version >> count) || magic != kMagicV1)
-    throw std::runtime_error("load_parameters: not an sgm checkpoint");
-  if (version != 1)
-    throw std::runtime_error("load_parameters: unsupported text version " +
-                             std::to_string(version));
-  auto params = net.parameters();
-  if (count != params.size())
-    throw std::runtime_error(
-        "load_parameters: tensor count mismatch (checkpoint " +
-        std::to_string(count) + ", network " +
-        std::to_string(params.size()) + ")");
-
-  std::vector<tensor::Matrix> loaded;
-  loaded.reserve(count);
-  for (std::size_t t = 0; t < count; ++t) {
-    std::size_t rows = 0, cols = 0;
-    if (!(in >> rows >> cols))
-      throw std::runtime_error("load_parameters: truncated tensor header");
-    if (rows != params[t]->rows() || cols != params[t]->cols())
-      throw std::runtime_error("load_parameters: shape mismatch at tensor " +
-                               std::to_string(t));
-    tensor::Matrix m(rows, cols);
-    for (std::size_t i = 0; i < m.size(); ++i) {
-      if (!(in >> m.data()[i]))
-        throw std::runtime_error("load_parameters: truncated tensor data");
-    }
-    loaded.push_back(std::move(m));
-  }
-  net.set_parameters(loaded);
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -218,11 +179,8 @@ void save_parameters(const Mlp& net, std::ostream& out) {
 
 void load_parameters(Mlp& net, std::istream& in) {
   const std::string raw = slurp(in);
-  if (!looks_like_v2(raw)) {
-    std::istringstream text(raw);
-    load_parameters_v1(net, text);
-    return;
-  }
+  if (!looks_like_v2(raw))
+    throw std::runtime_error("load_parameters: not an sgm checkpoint");
   const auto [body, body_size] = checked_body(raw);
   DecodedBody decoded = decode_body(body, body_size);
   const auto params = net.parameters();
@@ -266,13 +224,8 @@ void save_model_file(const Mlp& net, const std::string& path,
 
 LoadedModel load_model(std::istream& in) {
   const std::string raw = slurp(in);
-  if (!looks_like_v2(raw)) {
-    if (raw.compare(0, std::strlen(kMagicV1), kMagicV1) == 0)
-      throw std::runtime_error(
-          "load_model: legacy v1 text checkpoints carry no architecture; "
-          "load them with load_parameters() into a caller-built net");
+  if (!looks_like_v2(raw))
     throw std::runtime_error("load_model: not an sgm checkpoint");
-  }
   const auto [body, body_size] = checked_body(raw);
   DecodedBody decoded = decode_body(body, body_size);
 

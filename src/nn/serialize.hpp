@@ -11,10 +11,6 @@
 //   — and the checksum turns any single flipped byte into a load error
 //   instead of silently corrupted predictions.
 //
-// Format v1 (legacy, text): "sgm-mlp" magic + decimal values. Still
-// readable through load_parameters() for old checkpoints (a committed
-// fixture under tests/data/ pins this); no longer written.
-//
 // Two API levels:
 //  * parameter-only (save_parameters/load_parameters + the *_checkpoint
 //    path wrappers): the architecture comes from the caller's net, whose
@@ -59,10 +55,9 @@ struct CheckpointInfo {
 /// std::runtime_error on stream failure.
 void save_parameters(const Mlp& net, std::ostream& out);
 
-/// Reads parameters into `net` from a v2 binary OR legacy v1 text
-/// checkpoint. Throws std::runtime_error on malformed/truncated/corrupt
-/// input (checksum verified for v2), unsupported format versions, or any
-/// architecture mismatch.
+/// Reads parameters into `net` from a v2 binary checkpoint. Throws
+/// std::runtime_error on malformed/truncated/corrupt input (checksum
+/// verified), unsupported format versions, or any architecture mismatch.
 void load_parameters(Mlp& net, std::istream& in);
 
 /// File-path wrappers. Saving is crash-safe and durable: the bytes go
@@ -90,9 +85,8 @@ struct LoadedModel {
 };
 
 /// Reconstructs the full model from a v2 checkpoint (header architecture +
-/// weights, checksum verified). Legacy v1 checkpoints carry no architecture
-/// and are rejected with an explanatory error — load those through
-/// load_parameters() into a caller-built net.
+/// weights, checksum verified). Throws std::runtime_error on
+/// malformed/truncated/corrupt input or unsupported format versions.
 LoadedModel load_model(std::istream& in);
 LoadedModel load_model_file(const std::string& path);
 

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <future>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
 #include "util/check.hpp"
+#include "util/mutex.hpp"
 
 namespace sgm::serve {
 
@@ -16,45 +16,23 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
-// Exception objects must not cross threads. Transporting them through
-// promise::set_exception means the worker can drop the last reference to
-// an exception whose what() buffer a client just read; the refcounting
-// that makes this safe lives inside libstdc++ where TSan cannot see it,
-// and one exception object would be shared by every member of a failed
-// batch besides. The worker records an error *code* + message instead and
-// query() throws a fresh exception on the caller's own thread.
-enum class ErrKind : std::uint8_t {
-  kNone,
-  kOutOfRange,
-  kInvalidArgument,
-  kRuntime,
-};
-
-[[noreturn]] void rethrow(ErrKind kind, const std::string& message) {
-  switch (kind) {
-    case ErrKind::kOutOfRange:
+// Exception objects must not cross threads. Transporting them through a
+// promise means the worker can drop the last reference to an exception
+// whose what() buffer a client just read; the refcounting that makes this
+// safe lives inside libstdc++ where TSan cannot see it, and one exception
+// object would be shared by every member of a failed batch besides. The
+// worker records a QueryError + message instead and query() throws a fresh
+// exception on the caller's own thread.
+[[noreturn]] void rethrow(QueryError error, const std::string& message) {
+  switch (error) {
+    case QueryError::kNotFound:
       throw std::out_of_range(message);
-    case ErrKind::kInvalidArgument:
+    case QueryError::kInvalidArgument:
       throw std::invalid_argument(message);
     default:
       throw std::runtime_error(message);
   }
 }
-
-QueryError to_query_error(ErrKind kind) {
-  switch (kind) {
-    case ErrKind::kNone: return QueryError::kNone;
-    case ErrKind::kOutOfRange: return QueryError::kNotFound;
-    case ErrKind::kInvalidArgument: return QueryError::kInvalidArgument;
-    case ErrKind::kRuntime: return QueryError::kRuntime;
-  }
-  return QueryError::kRuntime;
-}
-
-// Slot completion phases; a slot's state word is generation * 4 + phase.
-constexpr std::uint64_t kPhaseFree = 0;
-constexpr std::uint64_t kPhaseQueued = 1;
-constexpr std::uint64_t kPhaseDone = 2;
 
 // Spinning only helps when another core can complete the awaited work
 // concurrently; on a single-CPU host every spin cycle starves the thread
@@ -62,9 +40,6 @@ constexpr std::uint64_t kPhaseDone = 2;
 // yield or park instead.
 const bool kMultiCore = std::thread::hardware_concurrency() > 1;
 
-// Client-side spin budget before parking on the slot (~a few µs: a loaded
-// multi-core server completes a batch well inside it).
-const int kClientSpins = kMultiCore ? 128 : 0;
 // Worker-side spin budget before parking on the gate.
 const int kWorkerSpins = kMultiCore ? 256 : 0;
 // Yields the batch-collect loop spends giving producers the CPU before it
@@ -86,70 +61,28 @@ inline void backoff(int& spins) {
 
 }  // namespace
 
-// Legacy (mutex-mode) request record.
-struct InferenceBatcher::Pending {
-  std::string scenario;
-  std::vector<double> x;
-  struct Outcome {
-    Response resp;
-    ErrKind err = ErrKind::kNone;
-    std::string message;
-  };
-  std::promise<Outcome> promise;
-  util::WallTimer since_enqueue;  ///< feeds query_latency
-  Clock::time_point deadline;     ///< enqueue time + max_delay_s
-
-  void fulfill(Response resp) {
-    Outcome out;
-    out.resp = std::move(resp);
-    promise.set_value(std::move(out));
-  }
-  void fail(ErrKind kind, std::string message) {
-    Outcome out;
-    out.err = kind;
-    out.message = std::move(message);
-    promise.set_value(std::move(out));
-  }
-};
-
-// Pooled response slot (ring mode). Ownership handoff:
+// Pooled response slot. Ownership follows the index:
 //   client: pops the index off the freelist (exclusive owner), writes the
-//           request fields, pushes the index onto the request ring — the
-//           ring's release/acquire pair publishes the request to the
-//           worker — then spins-then-parks on `state`;
-//   worker: writes the response fields and publishes them with a release
-//           store of `state` = generation*4 + kPhaseDone (complete_slot);
-//   client: observes kPhaseDone (acquire), reads the response, bumps the
-//           generation and returns the index to the freelist.
-// The generation tag makes a recycled slot's state word unambiguous: a
-// stale reader from a previous life can never mistake the new life's
-// kPhaseDone for its own (its expected word differs in the generation
-// bits). `parked`/`mu`/`cv` implement the spin-then-wait: the worker takes
-// the slot mutex only when the client actually parked.
+//           request fields and pushes the index onto the request ring — the
+//           ring's release/acquire pair publishes the request to the worker;
+//   worker (or stop(), failing leftovers): writes the response fields,
+//           moves them out, returns the index to the freelist (whose
+//           release/acquire pair publishes the reset slot to its next owner)
+//           and only then runs the callback.
 struct alignas(64) InferenceBatcher::Slot {
-  // Request (client writes, worker reads; published by the ring push).
+  // Request (client writes, worker reads).
   std::string scenario;
   std::vector<double> x;
   util::WallTimer since_enqueue;
   Clock::time_point deadline;
-  // Response (worker writes, client reads; published by `state`).
-  Response resp;
-  ErrKind err = ErrKind::kNone;
-  std::string message;
-  // Async completion (query_async): when `done` is set there is no parked
-  // client — complete_slot delivers the response through the callback and
-  // recycles the slot itself, on the worker thread.
   InferenceBatcher::Completion done = nullptr;
   void* done_ctx = nullptr;
   std::uint64_t done_tag1 = 0;
   std::uint64_t done_tag2 = 0;
-  // Completion protocol. `parked` is an integer so both sides of its
-  // Dekker pairing can use RMWs (see complete_slot).
-  std::atomic<std::uint64_t> state{kPhaseFree};
-  std::atomic<std::uint32_t> parked{0};
-  util::Mutex mu;
-  util::CondVar cv;
-  std::uint64_t generation = 0;  ///< written only by the current owner
+  // Response (worker writes, complete_slot delivers).
+  Response resp;
+  QueryError err = QueryError::kNone;
+  std::string message;
 };
 
 InferenceBatcher::InferenceBatcher(ModelRegistry& registry, BatcherOptions opt,
@@ -158,26 +91,18 @@ InferenceBatcher::InferenceBatcher(ModelRegistry& registry, BatcherOptions opt,
   SGM_CHECK_ARG(opt_.max_batch >= 1, "InferenceBatcher: max_batch must be >= 1");
   SGM_CHECK_ARG(opt_.num_workers >= 1,
                 "InferenceBatcher: num_workers must be >= 1");
-  if (opt_.mode == QueueMode::kRing) {
-    SGM_CHECK_ARG(opt_.queue_capacity >= 2,
-                  "InferenceBatcher: queue_capacity must be >= 2");
-    ring_ = std::make_unique<util::MpscRing<std::uint32_t>>(opt_.queue_capacity);
-    freelist_ =
-        std::make_unique<util::MpscRing<std::uint32_t>>(ring_->capacity());
-    slots_ = std::make_unique<Slot[]>(ring_->capacity());
-    for (std::uint32_t i = 0; i < ring_->capacity(); ++i) {
-      const bool ok = freelist_->try_push(i);
-      SGM_CHECK(ok, "freelist seeding overflowed at slot ", i);
-    }
+  SGM_CHECK_ARG(opt_.queue_capacity >= 2,
+                "InferenceBatcher: queue_capacity must be >= 2");
+  ring_ = std::make_unique<util::MpscRing<std::uint32_t>>(opt_.queue_capacity);
+  freelist_ = std::make_unique<util::MpscRing<std::uint32_t>>(ring_->capacity());
+  slots_ = std::make_unique<Slot[]>(ring_->capacity());
+  for (std::uint32_t i = 0; i < ring_->capacity(); ++i) {
+    const bool ok = freelist_->try_push(i);
+    SGM_CHECK(ok, "freelist seeding overflowed at slot ", i);
   }
   workers_.reserve(opt_.num_workers);
   for (std::size_t i = 0; i < opt_.num_workers; ++i)
-    workers_.emplace_back([this] {
-      if (opt_.mode == QueueMode::kRing)
-        ring_worker_loop();
-      else
-        mutex_worker_loop();
-    });
+    workers_.emplace_back([this] { worker_loop(); });
 }
 
 InferenceBatcher::~InferenceBatcher() { stop(); }
@@ -185,25 +110,43 @@ InferenceBatcher::~InferenceBatcher() { stop(); }
 InferenceBatcher::Response InferenceBatcher::query(const std::string& scenario,
                                                    std::vector<double> x,
                                                    double deadline_s) {
-  if (draining_.load(std::memory_order_acquire))
-    throw std::runtime_error("InferenceBatcher: query after stop()");
-  const double budget =
-      deadline_s < 0.0 ? opt_.default_deadline_s : deadline_s;
-  maybe_shed(budget);
-  return opt_.mode == QueueMode::kRing ? ring_query(scenario, std::move(x))
-                                       : mutex_query(scenario, std::move(x));
+  // The completion lives on this frame. The callback notifies while still
+  // holding `mu`, so this frame cannot see `done`, return and destroy the
+  // waiter until the callback has let go of it.
+  struct Waiter {
+    util::Mutex mu;
+    util::CondVar cv;
+    bool done SGM_GUARDED_BY(mu) = false;
+    Response resp SGM_GUARDED_BY(mu);
+    QueryError error SGM_GUARDED_BY(mu) = QueryError::kNone;
+    std::string message SGM_GUARDED_BY(mu);
+  } w;
+  query_async(
+      scenario, std::move(x), deadline_s,
+      [](void* ctx, std::uint64_t, std::uint64_t, Response&& resp,
+         QueryError error, const std::string& message) {
+        auto* waiter = static_cast<Waiter*>(ctx);
+        util::MutexLock lock(waiter->mu);
+        waiter->resp = std::move(resp);
+        waiter->error = error;
+        waiter->message = message;
+        waiter->done = true;
+        waiter->cv.notify_one();
+      },
+      &w, 0, 0);
+  util::MutexLock lock(w.mu);
+  while (!w.done) w.cv.wait(w.mu);
+  if (w.error != QueryError::kNone) rethrow(w.error, w.message);
+  return std::move(w.resp);
 }
 
 std::uint64_t InferenceBatcher::in_flight() const {
-  if (opt_.mode == QueueMode::kRing) {
-    // Derived, not counted: a slot absent from the freelist is owned by a
-    // client or the worker. Two relaxed loads; the lock-free request path
-    // pays nothing for this monitoring signal.
-    const std::size_t free_slots = freelist_->approx_size();
-    const std::size_t cap = ring_->capacity();
-    return free_slots >= cap ? 0 : cap - free_slots;
-  }
-  return in_flight_.load(std::memory_order_relaxed);
+  // Derived, not counted: a slot absent from the freelist is owned by a
+  // client or the worker. Two relaxed loads; the lock-free request path
+  // pays nothing for this monitoring signal.
+  const std::size_t free_slots = freelist_->approx_size();
+  const std::size_t cap = ring_->capacity();
+  return free_slots >= cap ? 0 : cap - free_slots;
 }
 
 double InferenceBatcher::estimated_wait_s() const {
@@ -241,12 +184,7 @@ HealthState InferenceBatcher::health() {
   // Latched: any shed since the previous probe marks one degraded reading.
   if (shed_since_health_.exchange(0, std::memory_order_relaxed) != 0)
     return HealthState::kDegraded;
-  const std::uint64_t depth = in_flight();
-  if (opt_.mode == QueueMode::kRing) {
-    if (depth * 2 >= ring_->capacity()) return HealthState::kDegraded;
-  } else if (depth >= 4 * opt_.max_batch) {
-    return HealthState::kDegraded;
-  }
+  if (in_flight() * 2 >= ring_->capacity()) return HealthState::kDegraded;
   return HealthState::kOk;
 }
 
@@ -269,16 +207,18 @@ void InferenceBatcher::count_flush(std::size_t batch_size) {
 }
 
 // ---------------------------------------------------------------------------
-// Ring mode
+// Request path
 // ---------------------------------------------------------------------------
 
-std::uint32_t InferenceBatcher::ring_submit(const std::string& scenario,
-                                            std::vector<double>&& x,
-                                            Completion done, void* ctx,
-                                            std::uint64_t tag1,
-                                            std::uint64_t tag2) {
-  if (stop_flag_.load(std::memory_order_acquire))
+void InferenceBatcher::query_async(const std::string& scenario,
+                                   std::vector<double> x, double deadline_s,
+                                   Completion done, void* ctx,
+                                   std::uint64_t tag1, std::uint64_t tag2) {
+  SGM_CHECK_ARG(done != nullptr,
+                "InferenceBatcher: query_async needs a completion");
+  if (draining_.load(std::memory_order_acquire))
     throw std::runtime_error("InferenceBatcher: query after stop()");
+  maybe_shed(deadline_s < 0.0 ? opt_.default_deadline_s : deadline_s);
   std::uint32_t idx = 0;
   if (!freelist_->try_pop(idx)) {
     // Bounded queue full: shed load now instead of queueing unboundedly.
@@ -289,20 +229,18 @@ std::uint32_t InferenceBatcher::ring_submit(const std::string& scenario,
                          std::to_string(ring_->capacity()) + ")");
   }
   Slot& slot = slots_[idx];
-  const std::uint64_t gen = slot.generation;
   slot.scenario = scenario;
   slot.x = std::move(x);
-  slot.err = ErrKind::kNone;
-  slot.message.clear();
   slot.done = done;
   slot.done_ctx = ctx;
   slot.done_tag1 = tag1;
   slot.done_tag2 = tag2;
+  slot.err = QueryError::kNone;
+  slot.message.clear();
   slot.since_enqueue.reset();
   slot.deadline =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
                          std::chrono::duration<double>(opt_.max_delay_s));
-  slot.state.store(gen * 4 + kPhaseQueued, std::memory_order_relaxed);
 
   // Dekker pair with stop(): either this push lands before stop() starts
   // its final drain (stop spins until pending_pushes_ is 0), or the
@@ -310,9 +248,6 @@ std::uint32_t InferenceBatcher::ring_submit(const std::string& scenario,
   pending_pushes_.fetch_add(1, std::memory_order_seq_cst);
   if (stop_flag_.load(std::memory_order_seq_cst)) {
     pending_pushes_.fetch_sub(1, std::memory_order_release);
-    slot.done = nullptr;
-    slot.generation = gen + 1;
-    slot.state.store((gen + 1) * 4 + kPhaseFree, std::memory_order_release);
     for (int s = 0; !freelist_->try_push(idx);) backoff(s);
     throw std::runtime_error("InferenceBatcher: query after stop()");
   }
@@ -322,111 +257,29 @@ std::uint32_t InferenceBatcher::ring_submit(const std::string& scenario,
   for (int s = 0; !ring_->try_push(idx);) backoff(s);
   pending_pushes_.fetch_sub(1, std::memory_order_release);
   gate_.notify();
-  return idx;
-}
-
-void InferenceBatcher::query_async(const std::string& scenario,
-                                   std::vector<double> x, double deadline_s,
-                                   Completion done, void* ctx,
-                                   std::uint64_t tag1, std::uint64_t tag2) {
-  SGM_CHECK_ARG(done != nullptr,
-                "InferenceBatcher: query_async needs a completion");
-  if (opt_.mode != QueueMode::kRing)
-    throw std::logic_error(
-        "InferenceBatcher: query_async requires QueueMode::kRing");
-  if (draining_.load(std::memory_order_acquire))
-    throw std::runtime_error("InferenceBatcher: query after stop()");
-  const double budget =
-      deadline_s < 0.0 ? opt_.default_deadline_s : deadline_s;
-  maybe_shed(budget);
-  ring_submit(scenario, std::move(x), done, ctx, tag1, tag2);
-}
-
-InferenceBatcher::Response InferenceBatcher::ring_query(
-    const std::string& scenario, std::vector<double>&& x) {
-  const std::uint32_t idx =
-      ring_submit(scenario, std::move(x), nullptr, nullptr, 0, 0);
-  Slot& slot = slots_[idx];
-  // Safe to re-read: only the submitting client ever writes `generation`
-  // for a sync slot, so it is unchanged since ring_submit claimed the slot.
-  const std::uint64_t gen = slot.generation;
-
-  // Spin-then-park on the slot until the worker publishes the response.
-  const std::uint64_t want = gen * 4 + kPhaseDone;
-  bool done = false;
-  for (int i = 0; i < kClientSpins; ++i) {
-    if (slot.state.load(std::memory_order_acquire) == want) {
-      done = true;
-      break;
-    }
-    util::cpu_relax();
-  }
-  if (!done) {
-    slot.parked.exchange(1, std::memory_order_seq_cst);
-    {
-      util::MutexLock lock(slot.mu);
-      while (slot.state.load(std::memory_order_acquire) != want)
-        slot.cv.wait(slot.mu);
-    }
-    slot.parked.store(0, std::memory_order_relaxed);
-  }
-
-  const ErrKind err = slot.err;
-  Response resp;
-  std::string message;
-  if (err == ErrKind::kNone)
-    resp = std::move(slot.resp);
-  else
-    message = std::move(slot.message);
-  // Recycle: bump the generation so any stale observer of the old state
-  // word can never match, then hand the slot back to the pool.
-  slot.generation = gen + 1;
-  slot.state.store((gen + 1) * 4 + kPhaseFree, std::memory_order_release);
-  for (int s = 0; !freelist_->try_push(idx);) backoff(s);
-  if (err != ErrKind::kNone) rethrow(err, message);
-  return resp;
 }
 
 void InferenceBatcher::complete_slot(Slot& slot) {
-  const std::uint64_t gen = slot.state.load(std::memory_order_relaxed) / 4;
-  if (slot.done != nullptr) {
-    // Async slot (query_async): no parked client — move the outcome out,
-    // recycle the slot here (it is back in the pool before the callback
-    // runs, so a slow callback never holds queue capacity), then deliver.
-    // This thread is the slot's exclusive owner; plain reads suffice.
-    const Completion done = slot.done;
-    void* const ctx = slot.done_ctx;
-    const std::uint64_t tag1 = slot.done_tag1;
-    const std::uint64_t tag2 = slot.done_tag2;
-    Response resp = std::move(slot.resp);
-    const ErrKind err = slot.err;
-    std::string message = std::move(slot.message);
-    slot.done = nullptr;
-    slot.resp = Response{};
-    slot.message = std::string();
-    slot.generation = gen + 1;
-    slot.state.store((gen + 1) * 4 + kPhaseFree, std::memory_order_release);
-    const auto idx = static_cast<std::uint32_t>(&slot - slots_.get());
-    for (int s = 0; !freelist_->try_push(idx);) backoff(s);
-    done(ctx, tag1, tag2, std::move(resp), to_query_error(err), message);
-    return;
-  }
-  slot.state.store(gen * 4 + kPhaseDone, std::memory_order_release);
-  // Dekker pair with the client's parked publication, fence-free (TSan
-  // cannot model fences): both sides RMW `parked` seq_cst. If this identity
-  // RMW reads 0, the client's exchange(1) is later in the modification
-  // order and reads-from this write — the synchronizes-with edge orders the
-  // kPhaseDone store above before the client's post-exchange state recheck,
-  // so the client cannot park on a completed slot. If it reads 1, notify.
-  if (slot.parked.fetch_add(0, std::memory_order_seq_cst) != 0) {
-    { util::MutexLock lock(slot.mu); }  // order the wakeup after the wait
-    slot.cv.notify_one();
-  }
+  // This thread owns the slot: move the outcome out, recycle the slot (it
+  // is back in the pool before the callback runs, so a slow callback never
+  // holds queue capacity), then deliver.
+  const Completion done = slot.done;
+  void* const ctx = slot.done_ctx;
+  const std::uint64_t tag1 = slot.done_tag1;
+  const std::uint64_t tag2 = slot.done_tag2;
+  Response resp = std::move(slot.resp);
+  const QueryError err = slot.err;
+  std::string message = std::move(slot.message);
+  slot.resp = Response{};
+  slot.message = std::string();
+  const auto idx = static_cast<std::uint32_t>(&slot - slots_.get());
+  for (int s = 0; !freelist_->try_push(idx);) backoff(s);
+  done(ctx, tag1, tag2, std::move(resp), err, message);
 }
 
-void InferenceBatcher::fail_slot(Slot& slot, std::uint8_t err,
+void InferenceBatcher::fail_slot(Slot& slot, QueryError err,
                                  const std::string& message) {
-  slot.err = static_cast<ErrKind>(err);
+  slot.err = err;
   slot.message = message;
   complete_slot(slot);
 }
@@ -434,18 +287,18 @@ void InferenceBatcher::fail_slot(Slot& slot, std::uint8_t err,
 void InferenceBatcher::drain_ring_failing() {
   std::uint32_t idx = 0;
   while (ring_->try_pop(idx))
-    fail_slot(slots_[idx], static_cast<std::uint8_t>(ErrKind::kRuntime),
+    fail_slot(slots_[idx], QueryError::kRuntime,
               "InferenceBatcher: stopped before serving");
 }
 
-void InferenceBatcher::ring_worker_loop() {
+void InferenceBatcher::worker_loop() {
   // Requests popped for a different scenario than the batch under assembly
   // wait here; the next iteration serves them first (oldest first).
   std::vector<std::uint32_t> stash;
   std::vector<std::uint32_t> batch;
   const auto stop_drain = [this, &stash] {
     for (const std::uint32_t idx : stash)
-      fail_slot(slots_[idx], static_cast<std::uint8_t>(ErrKind::kRuntime),
+      fail_slot(slots_[idx], QueryError::kRuntime,
                 "InferenceBatcher: stopped before serving");
     stash.clear();
     drain_ring_failing();
@@ -552,11 +405,10 @@ void InferenceBatcher::serve_slots(const std::vector<std::uint32_t>& batch) {
     if (metrics_)
       metrics_->query_errors_total.fetch_add(batch.size(),
                                              std::memory_order_relaxed);
-    const ErrKind kind = dynamic_cast<const std::out_of_range*>(&e)
-                             ? ErrKind::kOutOfRange
-                             : ErrKind::kRuntime;
-    for (const std::uint32_t idx : batch)
-      fail_slot(slots_[idx], static_cast<std::uint8_t>(kind), e.what());
+    const QueryError kind = dynamic_cast<const std::out_of_range*>(&e)
+                                ? QueryError::kNotFound
+                                : QueryError::kRuntime;
+    for (const std::uint32_t idx : batch) fail_slot(slots_[idx], kind, e.what());
     return;
   }
   const nn::Mlp& net = *served->model;
@@ -578,7 +430,7 @@ void InferenceBatcher::serve_slots(const std::vector<std::uint32_t>& batch) {
     }
     if (metrics_)
       metrics_->query_errors_total.fetch_add(1, std::memory_order_relaxed);
-    fail_slot(slot, static_cast<std::uint8_t>(ErrKind::kInvalidArgument),
+    fail_slot(slot, QueryError::kInvalidArgument,
               "InferenceBatcher: query width " + std::to_string(slot.x.size()) +
                   " != input_dim " + std::to_string(in_dim));
   }
@@ -596,7 +448,7 @@ void InferenceBatcher::serve_slots(const std::vector<std::uint32_t>& batch) {
       metrics_->query_errors_total.fetch_add(valid.size(),
                                              std::memory_order_relaxed);
     for (Slot* slot : valid)
-      fail_slot(*slot, static_cast<std::uint8_t>(ErrKind::kRuntime), e.what());
+      fail_slot(*slot, QueryError::kRuntime, e.what());
     return;
   }
   SGM_CHECK(yb.rows() == valid.size() && yb.cols() == out_dim,
@@ -624,199 +476,34 @@ void InferenceBatcher::serve_slots(const std::vector<std::uint32_t>& batch) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy mutex mode (the PR 6 implementation, kept as the bench A/B arm)
-// ---------------------------------------------------------------------------
-
-InferenceBatcher::Response InferenceBatcher::mutex_query(
-    const std::string& scenario, std::vector<double>&& x) {
-  auto pending = std::make_unique<Pending>();
-  pending->scenario = scenario;
-  pending->x = std::move(x);
-  pending->deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(opt_.max_delay_s));
-  std::future<Pending::Outcome> fut = pending->promise.get_future();
-  {
-    util::MutexLock lock(mu_);
-    if (stop_)
-      throw std::runtime_error("InferenceBatcher: query after stop()");
-    queue_.push_back(std::move(pending));
-  }
-  in_flight_.fetch_add(1, std::memory_order_relaxed);
-  cv_.notify_one();
-  Pending::Outcome out = fut.get();
-  in_flight_.fetch_sub(1, std::memory_order_relaxed);
-  if (out.err != ErrKind::kNone) rethrow(out.err, out.message);
-  return std::move(out.resp);
-}
-
-void InferenceBatcher::collect_locked(
-    const std::string& scenario,
-    std::vector<std::unique_ptr<Pending>>& batch) {
-  for (auto it = queue_.begin();
-       it != queue_.end() && batch.size() < opt_.max_batch;) {
-    if ((*it)->scenario == scenario) {
-      batch.push_back(std::move(*it));
-      it = queue_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void InferenceBatcher::mutex_worker_loop() {
-  std::vector<std::unique_ptr<Pending>> batch;
-  while (true) {
-    batch.clear();
-    {
-      util::MutexLock lock(mu_);
-      while (!stop_ && queue_.empty()) cv_.wait(mu_);
-      if (stop_) return;  // stop() answers whatever is still queued
-
-      // Coalesce every pending request for the scenario at the head of the
-      // queue; requests for other scenarios keep their queue order and are
-      // picked up by the next batch.
-      const std::string scenario = queue_.front()->scenario;
-      const Clock::time_point deadline = queue_.front()->deadline;
-      collect_locked(scenario, batch);
-      // Deadline flush, as in ring mode.
-      while (batch.size() < opt_.max_batch && !stop_) {
-        if (cv_.wait_until(mu_, deadline) == std::cv_status::timeout) {
-          collect_locked(scenario, batch);
-          break;
-        }
-        collect_locked(scenario, batch);
-      }
-    }
-    count_flush(batch.size());
-    serve_batch(std::move(batch));
-  }
-}
-
-void InferenceBatcher::serve_batch(
-    std::vector<std::unique_ptr<Pending>> batch) {
-  if (batch.empty()) return;
-  util::WallTimer service_timer;  // feeds the estimated-wait EWMA
-
-  ServedModelPtr served;
-  try {
-    served = registry_.acquire(batch.front()->scenario);
-  } catch (const std::exception& e) {
-    if (metrics_)
-      metrics_->query_errors_total.fetch_add(batch.size(),
-                                             std::memory_order_relaxed);
-    const ErrKind kind = dynamic_cast<const std::out_of_range*>(&e)
-                             ? ErrKind::kOutOfRange
-                             : ErrKind::kRuntime;
-    for (auto& p : batch) p->fail(kind, e.what());
-    return;
-  }
-  const nn::Mlp& net = *served->model;
-  const std::size_t in_dim = net.config().input_dim;
-  const std::size_t out_dim = net.config().output_dim;
-
-  thread_local tensor::Matrix xb, yb;
-  thread_local nn::Mlp::ForwardWorkspace ws;
-
-  std::vector<Pending*> valid;
-  valid.reserve(batch.size());
-  for (auto& p : batch) {
-    if (p->x.size() == in_dim) {
-      valid.push_back(p.get());
-      continue;
-    }
-    if (metrics_)
-      metrics_->query_errors_total.fetch_add(1, std::memory_order_relaxed);
-    p->fail(ErrKind::kInvalidArgument,
-            "InferenceBatcher: query width " + std::to_string(p->x.size()) +
-                " != input_dim " + std::to_string(in_dim));
-  }
-  if (valid.empty()) return;
-
-  xb.resize(valid.size(), in_dim);
-  for (std::size_t r = 0; r < valid.size(); ++r) {
-    double* row = xb.row(r);
-    for (std::size_t c = 0; c < in_dim; ++c) row[c] = valid[r]->x[c];
-  }
-  try {
-    net.forward_batched(xb, yb, ws, opt_.num_threads);
-  } catch (const std::exception& e) {
-    if (metrics_)
-      metrics_->query_errors_total.fetch_add(valid.size(),
-                                             std::memory_order_relaxed);
-    for (Pending* p : valid) p->fail(ErrKind::kRuntime, e.what());
-    return;
-  }
-  SGM_CHECK(yb.rows() == valid.size() && yb.cols() == out_dim,
-            "forward_batched returned ", yb.rows(), "x", yb.cols(),
-            " for a ", valid.size(), "-query batch of width ", out_dim);
-
-  if (metrics_) {
-    metrics_->batched_queries_total.fetch_add(valid.size(),
-                                              std::memory_order_relaxed);
-    metrics_->queries_total.fetch_add(valid.size(),
-                                      std::memory_order_relaxed);
-  }
-  for (std::size_t r = 0; r < valid.size(); ++r) {
-    Response resp;
-    resp.y.assign(yb.row(r), yb.row(r) + out_dim);
-    resp.version = served->info.meta.model_version;
-    resp.checksum = served->info.checksum;
-    if (metrics_)
-      metrics_->query_latency.record(valid[r]->since_enqueue.elapsed_s());
-    valid[r]->fulfill(std::move(resp));
-  }
-  update_service_ewma(service_timer.elapsed_s());
-}
-
-// ---------------------------------------------------------------------------
 // Shutdown
 // ---------------------------------------------------------------------------
 
-void InferenceBatcher::graceful_drain() {
-  // Step 1 of stop(): flip to draining (query() rejects from here on) and
+void InferenceBatcher::stop() {
+  // Graceful drain: flip to draining (query_async rejects from here on) and
   // give the workers a bounded window to answer what was already accepted.
-  // Already-draining calls fall through immediately once in-flight work
-  // is gone, keeping stop() idempotent.
+  // Already-draining calls fall through immediately once in-flight work is
+  // gone, keeping stop() idempotent.
   draining_.store(true, std::memory_order_seq_cst);
   const Clock::time_point deadline =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
                          std::chrono::duration<double>(opt_.drain_deadline_s));
   while (in_flight() != 0 && Clock::now() < deadline)
     std::this_thread::yield();
-}
 
-void InferenceBatcher::stop() {
-  graceful_drain();
-  if (opt_.mode == QueueMode::kRing) {
-    stop_flag_.store(true, std::memory_order_seq_cst);
-    // Let in-flight ring pushes land before the final drain (Dekker pair
-    // with ring_query): any client past its stop recheck has already
-    // incremented pending_pushes_.
-    while (pending_pushes_.load(std::memory_order_seq_cst) != 0)
-      std::this_thread::yield();
-    gate_.notify_all();
-    for (auto& w : workers_) {
-      if (w.joinable()) w.join();
-    }
-    workers_.clear();
-    drain_ring_failing();  // entries that raced past the exiting workers
-    return;
-  }
-  std::deque<std::unique_ptr<Pending>> orphans;
-  {
-    util::MutexLock lock(mu_);
-    stop_ = true;
-    orphans.swap(queue_);
-  }
-  cv_.notify_all();
+  // Hard stop.
+  stop_flag_.store(true, std::memory_order_seq_cst);
+  // Let in-flight ring pushes land before the final drain (Dekker pair with
+  // query_async): any client past its stop recheck has already incremented
+  // pending_pushes_.
+  while (pending_pushes_.load(std::memory_order_seq_cst) != 0)
+    std::this_thread::yield();
+  gate_.notify_all();
   for (auto& w : workers_) {
     if (w.joinable()) w.join();
   }
   workers_.clear();
-  for (auto& p : orphans) {
-    p->fail(ErrKind::kRuntime, "InferenceBatcher: stopped before serving");
-  }
+  drain_ring_failing();  // entries that raced past the exiting workers
 }
 
 }  // namespace sgm::serve

@@ -2,19 +2,17 @@
 // Batched inference engine: coalesces concurrent queries into one blocked-
 // GEMM forward.
 //
-// Request path (QueueMode::kRing, the default): a client claims a pooled
-// response slot (fixed-capacity table, generation-tagged), writes its
-// request into the slot, pushes the slot index onto a bounded lock-free
-// MPSC ring (util/mpsc_ring.*) and spins-then-parks on the slot until the
-// worker publishes the response into it. No mutex, no allocation and no
-// promise/future on the hot path — the PR 6 profile showed the queue mutex
-// and the per-query promise dominating well before the GEMM did. When the
-// slot pool is exhausted the query is rejected immediately with
+// Request path: a client claims a pooled response slot (fixed-capacity
+// table), writes its request into the slot and pushes the slot index onto a
+// bounded lock-free MPSC ring (util/mpsc_ring.*). The worker delivers the
+// response through the slot's completion callback (query_async); the
+// blocking query() is that same submit plus a wait on a completion that
+// lives on the caller's stack. No shared mutex, no allocation and no
+// promise/future on the request path — the PR 6 profile showed the queue
+// mutex and the per-query promise dominating well before the GEMM did.
+// When the slot pool is exhausted the query is rejected immediately with
 // QueueFullError (the HTTP layer maps it to 503) and counted in
 // rejected_total — bounded queues shed load instead of collapsing.
-//
-// QueueMode::kMutex preserves the PR 6 mutex-guarded deque + promise per
-// query, byte-for-byte, as the A/B baseline for `bench_serve --arm mutex`.
 //
 // A worker drains pending requests, groups them by scenario (up to
 // max_batch of the oldest entry's scenario), stacks their inputs into one
@@ -24,16 +22,14 @@
 //
 // Determinism / attribution contract (pinned by tests/test_serve.cpp):
 //  * each response row is bitwise identical to what a lone
-//    net.forward(single_row) would return — batching, the queue mode and
-//    the worker's thread count never change the numbers (GEMM row
-//    independence);
+//    net.forward(single_row) would return — batching and the worker's
+//    thread count never change the numbers (GEMM row independence);
 //  * a batch acquires its model exactly once; every response carries the
 //    version (and checksum) of that one acquire, so under concurrent
 //    hot-swaps each response is attributable to exactly one published
 //    version — never a torn mix.
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -44,7 +40,6 @@
 #include "serve/metrics.hpp"
 #include "serve/model_registry.hpp"
 #include "util/mpsc_ring.hpp"
-#include "util/mutex.hpp"
 #include "util/timer.hpp"
 
 namespace sgm::serve {
@@ -84,15 +79,10 @@ constexpr const char* to_string(HealthState s) {
   return "unknown";
 }
 
-enum class QueueMode : std::uint8_t {
-  kRing,   ///< lock-free ring + pooled response slots (default)
-  kMutex,  ///< PR 6 mutex-guarded deque + promise/future (A/B baseline)
-};
-
-/// Error classification carried by an async completion (query_async). The
-/// worker cannot throw into the submitter's thread, so failures travel as a
-/// code + message; the HTTP reactor maps them to the same statuses the
-/// blocking query()'s exceptions get.
+/// Error classification carried by a completion (query_async). The worker
+/// cannot throw into the submitter's thread, so failures travel as a code +
+/// message; query() rethrows them as the exceptions noted below, and the
+/// HTTP reactor maps them to the matching statuses.
 enum class QueryError : std::uint8_t {
   kNone,             ///< success
   kNotFound,         ///< unpublished scenario (std::out_of_range ~ 404)
@@ -105,10 +95,9 @@ struct BatcherOptions {
   double max_delay_s = 200e-6;   ///< deadline flush for partial batches
   std::size_t num_threads = 1;   ///< row-parallel forward threads (0 = auto)
   std::size_t num_workers = 1;   ///< batch-assembly worker threads
-  QueueMode mode = QueueMode::kRing;
-  /// Bound on in-flight queries (ring mode): ring length and response-slot
-  /// count. Rounded up to a power of two. Queries beyond it are rejected
-  /// with QueueFullError.
+  /// Bound on in-flight queries: ring length and response-slot count.
+  /// Rounded up to a power of two. Queries beyond it are rejected with
+  /// QueueFullError.
   std::size_t queue_capacity = 1024;
   /// Deadline budget applied to queries that don't carry their own
   /// (seconds). 0 disables deadline shedding — the PR 8 behavior.
@@ -134,13 +123,13 @@ class InferenceBatcher {
     std::uint64_t checksum = 0;   ///< its payload checksum
   };
 
-  /// Blocking: enqueues, waits for the coalesced forward, returns the row.
+  /// Blocking: query_async plus a wait for its completion; returns the row.
   /// Throws std::out_of_range for unpublished scenarios,
   /// std::invalid_argument for wrong input width, QueueFullError when the
   /// bounded queue is full, DeadlineExceededError when `deadline_s` (or
   /// opt_.default_deadline_s when deadline_s < 0) is smaller than the
   /// estimated queue wait, std::runtime_error after stop(). Worker-side
-  /// failures travel as an error code + message and are rethrown here as
+  /// failures travel as a QueryError + message and are rethrown here as
   /// fresh exceptions — exception objects never cross threads (their
   /// libstdc++-internal refcounting is opaque to TSan, and a failed batch
   /// would otherwise share one object across all its callers).
@@ -158,19 +147,14 @@ class InferenceBatcher {
                               std::uint64_t tag2, Response&& resp,
                               QueryError error, const std::string& message);
 
-  /// Nonblocking submit for readiness-driven callers (the epoll reactor):
-  /// enqueues exactly like query() but returns immediately; the coalesced
-  /// result is delivered through `done` on a worker thread. Admission
-  /// errors are still synchronous — throws QueueFullError,
-  /// DeadlineExceededError and "query after stop()" std::runtime_error like
-  /// query(), and `done` is NOT invoked for those. Requires
-  /// QueueMode::kRing (the mutex A/B arm keeps its blocking-only PR 6
-  /// shape); throws std::logic_error otherwise.
+  /// Nonblocking submit, the one way into the queue (the epoll reactor
+  /// calls it directly): returns immediately and the coalesced result is
+  /// delivered through `done` on a worker thread. Admission errors are
+  /// synchronous — throws QueueFullError, DeadlineExceededError and "query
+  /// after stop()" std::runtime_error, and `done` is NOT invoked for those.
   void query_async(const std::string& scenario, std::vector<double> x,
                    double deadline_s, Completion done, void* ctx,
                    std::uint64_t tag1, std::uint64_t tag2);
-
-  bool supports_async() const { return opt_.mode == QueueMode::kRing; }
 
   /// Graceful drain: refuses new queries immediately, serves what was
   /// already accepted for up to opt_.drain_deadline_s, then hard-stops
@@ -189,13 +173,12 @@ class InferenceBatcher {
   /// deadline-shed decision; never a correctness signal.
   double estimated_wait_s() const;
 
-  /// Requests accepted but not yet answered (monitoring estimate). Ring
-  /// mode derives this from the freelist occupancy — the request hot path
-  /// carries no extra shared-line RMW for it; mutex mode counts directly.
+  /// Requests accepted but not yet answered (monitoring estimate), derived
+  /// from the freelist occupancy — the request hot path carries no extra
+  /// shared-line RMW for it.
   std::uint64_t in_flight() const;
 
  private:
-  struct Pending;
   struct Slot;
 
   /// Sheds a query whose deadline budget the estimated wait exceeds:
@@ -203,34 +186,15 @@ class InferenceBatcher {
   void maybe_shed(double budget) const;
   void note_shed() const;  ///< feeds metrics + the degraded-health latch
 
-  // --- ring mode -----------------------------------------------------------
-  Response ring_query(const std::string& scenario, std::vector<double>&& x);
-  /// Claims a slot, writes the request and pushes it through the ring —
-  /// the shared front half of ring_query (which then parks on the slot)
-  /// and query_async (which returns and lets complete_slot fire the
-  /// slot's callback). Returns the claimed slot index.
-  std::uint32_t ring_submit(const std::string& scenario,
-                            std::vector<double>&& x, Completion done,
-                            void* ctx, std::uint64_t tag1, std::uint64_t tag2);
-  void ring_worker_loop();
+  void worker_loop();
   /// Serves `batch` (slot indices, all one scenario) and completes each slot.
   void serve_slots(const std::vector<std::uint32_t>& batch);
-  void fail_slot(Slot& slot, std::uint8_t err, const std::string& message);
+  void fail_slot(Slot& slot, QueryError err, const std::string& message);
+  /// Recycles the slot, then delivers its outcome through its callback.
   void complete_slot(Slot& slot);
   /// Fails every entry still in the ring; used by stopping workers and by
   /// stop() itself after the workers joined.
   void drain_ring_failing();
-
-  // --- legacy mutex mode ---------------------------------------------------
-  Response mutex_query(const std::string& scenario, std::vector<double>&& x);
-  void graceful_drain();  ///< bounded wait for in-flight work (stop() step 1)
-  void mutex_worker_loop();
-  void serve_batch(std::vector<std::unique_ptr<Pending>> batch);
-  /// Moves every queued request for `scenario` (up to max_batch) into
-  /// `batch`, preserving queue order for other scenarios.
-  void collect_locked(const std::string& scenario,
-                      std::vector<std::unique_ptr<Pending>>& batch)
-      SGM_REQUIRES(mu_);
 
   void count_flush(std::size_t batch_size);
   void update_service_ewma(double batch_s);
@@ -239,8 +203,8 @@ class InferenceBatcher {
   BatcherOptions opt_;
   ServeMetrics* metrics_;
 
-  // Ring-mode state. `slots_` is immutable after construction; each Slot
-  // synchronizes its own handoff (see Slot in batcher.cpp).
+  // `slots_` is immutable after construction; a slot is owned by whoever
+  // holds its index (see Slot in batcher.cpp).
   std::unique_ptr<util::MpscRing<std::uint32_t>> ring_;      ///< requests
   std::unique_ptr<util::MpscRing<std::uint32_t>> freelist_;  ///< free slots
   std::unique_ptr<Slot[]> slots_;
@@ -248,22 +212,13 @@ class InferenceBatcher {
   std::atomic<bool> stop_flag_{false};
   std::atomic<std::uint32_t> pending_pushes_{0};  ///< stop/push Dekker pair
 
-  // Health / degradation state (both modes).
+  // Health / degradation state.
   std::atomic<bool> draining_{false};  ///< stop() entered its drain phase
-  /// Mutex-mode in-flight count (ring mode derives it from the freelist —
-  /// see in_flight() — to keep the lock-free path free of extra RMWs).
-  std::atomic<std::uint64_t> in_flight_{0};
   /// EWMA of batch service time in ns (racy cross-worker update; feeds
   /// estimated_wait_s only).
   std::atomic<std::uint64_t> ewma_batch_ns_{0};
   /// Queries shed (queue-full or deadline) since the last health() probe.
   mutable std::atomic<std::uint64_t> shed_since_health_{0};
-
-  // Legacy-mode state.
-  util::Mutex mu_;
-  util::CondVar cv_;
-  std::deque<std::unique_ptr<Pending>> queue_ SGM_GUARDED_BY(mu_);
-  bool stop_ SGM_GUARDED_BY(mu_) = false;
 
   std::vector<std::thread> workers_;
 };

@@ -1,7 +1,6 @@
 #pragma once
-// HTTP request-path machinery shared by both HttpServer I/O modes, split
-// out of http_server.cpp so the epoll reactor, the thread-per-connection
-// path and the unit tests all exercise the exact same parser and
+// HTTP request-path machinery, split out of http_server.cpp so the epoll
+// reactor and the unit tests exercise the exact same parser and
 // serializer:
 //
 //  * sgm::serve::http — the head parser (streaming: kNeedMore until the

@@ -1,6 +1,5 @@
 #include "serve/http_server.hpp"
 
-#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <unistd.h>
@@ -9,10 +8,12 @@
 #include <cerrno>
 #include <chrono>
 #include <stdexcept>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 
 #include "util/failpoint.hpp"
+#include "util/mutex.hpp"
 
 namespace sgm::serve {
 
@@ -101,115 +102,69 @@ HttpServer::HttpServer(ModelRegistry& registry, InferenceBatcher& batcher,
       metrics_(metrics),
       opt_(opt),
       listener_(opt.port) {
-  if (opt_.io_mode == IoMode::kReactor) {
-    if (opt_.num_reactors == 0)
-      throw std::invalid_argument("HttpServer: num_reactors must be >= 1");
-    if (opt_.max_pipeline == 0)
-      throw std::invalid_argument("HttpServer: max_pipeline must be >= 1");
-    if (!batcher_.supports_async())
-      throw std::invalid_argument(
-          "HttpServer: IoMode::kReactor needs query_async, i.e. a "
-          "QueueMode::kRing batcher");
-    listener_.set_nonblocking(true);
-    reactors_.reserve(opt_.num_reactors);
-    for (std::size_t i = 0; i < opt_.num_reactors; ++i) {
-      auto r = std::make_unique<Reactor>();
-      r->srv = this;
-      r->index = i;
-      r->epfd = ::epoll_create1(0);
-      if (r->epfd < 0)
-        throw std::runtime_error("HttpServer: epoll_create1 failed");
-      r->wake_fd = ::eventfd(0, EFD_NONBLOCK);
-      if (r->wake_fd < 0)
-        throw std::runtime_error("HttpServer: eventfd failed");
-      epoll_event ev{};
-      ev.events = EPOLLIN;
-      ev.data.u64 = kWakeId;
-      ::epoll_ctl(r->epfd, EPOLL_CTL_ADD, r->wake_fd, &ev);
-      if (i == 0) {
-        epoll_event lev{};
-        lev.events = EPOLLIN;
-        lev.data.u64 = kListenerId;
-        ::epoll_ctl(r->epfd, EPOLL_CTL_ADD, listener_.fd(), &lev);
-      }
-      reactors_.push_back(std::move(r));
+  if (opt_.num_reactors == 0)
+    throw std::invalid_argument("HttpServer: num_reactors must be >= 1");
+  if (opt_.max_pipeline == 0)
+    throw std::invalid_argument("HttpServer: max_pipeline must be >= 1");
+  listener_.set_nonblocking(true);
+  reactors_.reserve(opt_.num_reactors);
+  for (std::size_t i = 0; i < opt_.num_reactors; ++i) {
+    auto r = std::make_unique<Reactor>();
+    r->srv = this;
+    r->index = i;
+    r->epfd = ::epoll_create1(0);
+    if (r->epfd < 0)
+      throw std::runtime_error("HttpServer: epoll_create1 failed");
+    r->wake_fd = ::eventfd(0, EFD_NONBLOCK);
+    if (r->wake_fd < 0)
+      throw std::runtime_error("HttpServer: eventfd failed");
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.u64 = kWakeId;
+    ::epoll_ctl(r->epfd, EPOLL_CTL_ADD, r->wake_fd, &ev);
+    if (i == 0) {
+      epoll_event lev{};
+      lev.events = EPOLLIN;
+      lev.data.u64 = kListenerId;
+      ::epoll_ctl(r->epfd, EPOLL_CTL_ADD, listener_.fd(), &lev);
     }
-    for (auto& r : reactors_)
-      r->thread = std::thread([this, rp = r.get()] { reactor_loop(*rp); });
-    return;
+    reactors_.push_back(std::move(r));
   }
-  if (opt_.num_workers == 0)
-    throw std::invalid_argument("HttpServer: num_workers must be >= 1");
-  handlers_.reserve(opt_.num_workers);
-  for (std::size_t i = 0; i < opt_.num_workers; ++i)
-    handlers_.emplace_back([this] { handler_loop(); });
-  acceptor_ = std::thread([this] { acceptor_loop(); });
+  for (auto& r : reactors_)
+    r->thread = std::thread([this, rp = r.get()] { reactor_loop(*rp); });
 }
 
 HttpServer::~HttpServer() { stop(); }
 
 void HttpServer::stop() {
-  {
-    util::MutexLock lock(mu_);
-    if (stop_) return;
-  }
+  if (hard_stop_.load(std::memory_order_acquire)) return;
   // Phase 1 — graceful drain: refuse new connections (listener closed,
   // /healthz flips to "draining"), then answer what was already accepted
-  // for up to drain_deadline_s. Both modes close each connection at its
-  // next request boundary once draining_ is set.
+  // for up to drain_deadline_s. Each connection closes at its next request
+  // boundary once draining_ is set.
   draining_.store(true, std::memory_order_seq_cst);
   listener_.close();
-  if (opt_.io_mode == IoMode::kReactor) {
-    for (auto& r : reactors_) wake(*r);
-    util::WallTimer drain_timer;
-    while (drain_timer.elapsed_s() < opt_.drain_deadline_s) {
-      if (reactor_conns_.load(std::memory_order_acquire) == 0) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    {
-      util::MutexLock lock(mu_);
-      if (stop_) return;  // lost a race with a concurrent stop(); it joins
-      stop_ = true;
-    }
-    hard_stop_.store(true, std::memory_order_seq_cst);
-    for (auto& r : reactors_) wake(*r);
-    for (auto& r : reactors_) {
-      if (r->thread.joinable()) r->thread.join();
-    }
-    // In-flight query_async completions touch the reactors' inboxes; the
-    // reactors (and this server) must outlive every one of them.
-    while (outstanding_.load(std::memory_order_acquire) != 0)
-      std::this_thread::yield();
-    return;
-  }
+  for (auto& r : reactors_) wake(*r);
   util::WallTimer drain_timer;
   while (drain_timer.elapsed_s() < opt_.drain_deadline_s) {
-    bool queue_empty;
-    {
-      util::MutexLock lock(mu_);
-      queue_empty = conn_queue_.empty();
-    }
-    if (queue_empty && active_conns_.load(std::memory_order_acquire) == 0)
-      break;
-    cv_.notify_all();
+    if (reactor_conns_.load(std::memory_order_acquire) == 0) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   // Phase 2 — hard stop: whatever didn't drain in time is dropped.
-  {
-    util::MutexLock lock(mu_);
-    if (stop_) return;  // lost a race with a concurrent stop(); it joins
-    stop_ = true;
+  if (hard_stop_.exchange(true, std::memory_order_seq_cst))
+    return;  // lost a race with a concurrent stop(); it joins
+  for (auto& r : reactors_) wake(*r);
+  for (auto& r : reactors_) {
+    if (r->thread.joinable()) r->thread.join();
   }
-  cv_.notify_all();
-  if (acceptor_.joinable()) acceptor_.join();
-  for (auto& h : handlers_) {
-    if (h.joinable()) h.join();
-  }
-  handlers_.clear();
+  // In-flight query_async completions touch the reactors' inboxes; the
+  // reactors (and this server) must outlive every one of them.
+  while (outstanding_.load(std::memory_order_acquire) != 0)
+    std::this_thread::yield();
 }
 
 // ---------------------------------------------------------------------------
-// Reactor mode
+// Reactor loop
 // ---------------------------------------------------------------------------
 
 void HttpServer::wake(Reactor& r) {
@@ -520,6 +475,11 @@ void HttpServer::reactor_loop(Reactor& r) {
     drain_inboxes(r);
     if (!drain_latched && draining_.load(std::memory_order_acquire)) {
       drain_latched = true;
+      // The listener stays open (and, level-triggered, readable while a
+      // late client waits in its backlog) until destruction; accept_nb
+      // refuses such a client, so stop watching it or this loop spins.
+      if (r.index == 0)
+        ::epoll_ctl(r.epfd, EPOLL_CTL_DEL, listener_.fd(), nullptr);
       // Answer every complete buffered request, then stop parsing; each
       // connection closes once its pending responses flush.
       for (auto& [id, conn] : r.conns) {
@@ -598,145 +558,6 @@ void HttpServer::reactor_loop(Reactor& r) {
 }
 
 // ---------------------------------------------------------------------------
-// Thread-per-connection mode (the A/B baseline)
-// ---------------------------------------------------------------------------
-
-void HttpServer::acceptor_loop() {
-  while (true) {
-    util::TcpSocket conn = listener_.accept();
-    if (!conn.valid()) return;  // listener closed => shutting down
-    conn.set_nodelay(true);
-    if (opt_.send_timeout_s > 0)
-      conn.set_send_timeout(opt_.send_timeout_s);
-    {
-      util::MutexLock lock(mu_);
-      if (stop_) return;
-      conn_queue_.push_back(std::move(conn));
-    }
-    cv_.notify_one();
-  }
-}
-
-void HttpServer::handler_loop() {
-  while (true) {
-    util::TcpSocket conn;
-    {
-      util::MutexLock lock(mu_);
-      while (!stop_ && conn_queue_.empty()) cv_.wait(mu_);
-      if (stop_) return;
-      conn = std::move(conn_queue_.front());
-      conn_queue_.pop_front();
-      // Claimed while still holding mu_, so stop()'s drain loop observes
-      // either a non-empty queue or a non-zero active count — never a gap.
-      active_conns_.fetch_add(1, std::memory_order_acq_rel);
-    }
-    metrics_.open_connections.fetch_add(1, std::memory_order_relaxed);
-    handle_connection(conn);
-    metrics_.open_connections.fetch_sub(1, std::memory_order_relaxed);
-    active_conns_.fetch_sub(1, std::memory_order_acq_rel);
-  }
-}
-
-void HttpServer::handle_connection(util::TcpSocket& conn) {
-  // Streaming read loop: `buf` carries leftover bytes across requests, so a
-  // peer that pipelines many requests into one write (or whose request
-  // boundaries straddle read chunks) is served every one of them — one
-  // read_some can yield many responses, written back as one coalesced
-  // write. The pre-PR code rebuilt the buffer per request and silently
-  // dropped whatever it had already read past the first body.
-  std::string buf;
-  std::string outbuf;
-  double idle_s = 0.0;
-  char chunk[8192];
-  for (;;) {
-    // Serve every complete request already buffered.
-    outbuf.clear();
-    bool close_after_write = false;
-    for (;;) {
-      HttpRequest req;
-      std::size_t body_offset = 0;
-      const ParseStatus ps =
-          http::parse_head(buf, req, body_offset, opt_.max_body_bytes);
-      if (ps == ParseStatus::kNeedMore) {
-        if (buf.size() > opt_.max_body_bytes) {  // runaway / malicious head
-          metrics_.http_requests_total.fetch_add(1, std::memory_order_relaxed);
-          metrics_.http_errors_total.fetch_add(1, std::memory_order_relaxed);
-          outbuf += http::make_response(431, "text/plain",
-                                        "headers too large\n",
-                                        /*keep_alive=*/false);
-          close_after_write = true;
-        }
-        break;
-      }
-      if (ps != ParseStatus::kOk) {
-        const int status = ps == ParseStatus::kTooLarge ? 413 : 400;
-        metrics_.http_requests_total.fetch_add(1, std::memory_order_relaxed);
-        metrics_.http_errors_total.fetch_add(1, std::memory_order_relaxed);
-        outbuf += http::make_response(
-            status, "text/plain",
-            status == 413 ? "body too large\n" : "bad request\n",
-            /*keep_alive=*/false);
-        close_after_write = true;
-        break;
-      }
-      if (buf.size() - body_offset < req.content_length) break;  // need body
-      req.body.assign(buf, body_offset, req.content_length);
-      buf.erase(0, body_offset + req.content_length);
-
-      util::WallTimer timer;
-      int status = 200;
-      std::string extra_headers;
-      std::string body = route(req.method, req.target, req.body,
-                               req.deadline_s, status, extra_headers);
-      metrics_.http_requests_total.fetch_add(1, std::memory_order_relaxed);
-      if (status >= 400)
-        metrics_.http_errors_total.fetch_add(1, std::memory_order_relaxed);
-      metrics_.http_latency.record(timer.elapsed_s());
-
-      const bool is_json = !body.empty() && (body[0] == '{' || body[0] == '[');
-      const char* content_type = is_json ? "application/json" : "text/plain";
-      outbuf += http::make_response(status, content_type, body, req.keep_alive,
-                                    extra_headers);
-      if (!req.keep_alive) {
-        close_after_write = true;
-        break;
-      }
-    }
-    if (!outbuf.empty() && !conn.write_all(outbuf)) return;
-    if (close_after_write) return;
-    // Draining: every complete buffered request was just answered — close
-    // at this request boundary so stop() can finish.
-    if (draining_.load(std::memory_order_relaxed)) return;
-
-    // Poll in short slices so a stop() is honored promptly even while a
-    // keep-alive peer is idle. EINTR is a retry, never a disconnect — a
-    // signal delivery must not tear down a healthy keep-alive connection.
-    int rc;
-    for (;;) {
-      pollfd pfd{conn.fd(), POLLIN, 0};
-      const bool fake_eintr = SGM_FAILPOINT_HIT("http.poll_eintr");
-      rc = fake_eintr ? -1 : ::poll(&pfd, 1, /*timeout_ms=*/100);
-      if (fake_eintr) errno = EINTR;
-      if (rc >= 0) break;
-      if (errno != EINTR) return;
-    }
-    {
-      util::MutexLock lock(mu_);
-      if (stop_) return;
-    }
-    if (rc == 0) {
-      idle_s += 0.1;
-      if (idle_s >= opt_.recv_timeout_s) return;
-      continue;
-    }
-    const long n = conn.read_some(chunk, sizeof(chunk));
-    if (n <= 0) return;  // peer closed or error
-    idle_s = 0.0;
-    buf.append(chunk, static_cast<std::size_t>(n));
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Routing
 // ---------------------------------------------------------------------------
 
@@ -776,45 +597,6 @@ std::string HttpServer::route_sync(const std::string& method,
   }
   status = 404;
   return http::json_error("no such endpoint: " + target);
-}
-
-std::string HttpServer::route(const std::string& method,
-                              const std::string& target,
-                              const std::string& body, double deadline_s,
-                              int& status, std::string& extra_headers) {
-  if (target == "/v1/query" && method == "POST") {
-    std::string scenario;
-    std::vector<double> x;
-    if (!http::json_string_field(body, "scenario", scenario) ||
-        !http::json_number_array(body, "x", x)) {
-      status = 400;
-      return http::json_error(
-          "body must be {\"scenario\": \"<name>\", \"x\": [..]}");
-    }
-    try {
-      InferenceBatcher::Response resp =
-          batcher_.query(scenario, std::move(x), deadline_s);
-      return http::render_query_body(scenario, resp.version, resp.y, status);
-    } catch (const std::out_of_range& e) {
-      status = 404;
-      return http::json_error(e.what());
-    } catch (const std::invalid_argument& e) {
-      status = 400;
-      return http::json_error(e.what());
-    } catch (const DeadlineExceededError& e) {
-      status = 503;  // shed up front: the answer would arrive too late
-      extra_headers = http::retry_after_header(e.retry_after_s());
-      return http::json_error(e.what());
-    } catch (const QueueFullError& e) {
-      status = 503;  // backpressure: bounded queue full, try again later
-      extra_headers = http::retry_after_header(1.0);
-      return http::json_error(e.what());
-    } catch (const std::exception& e) {
-      status = 503;
-      return http::json_error(e.what());
-    }
-  }
-  return route_sync(method, target, status);
 }
 
 }  // namespace sgm::serve

@@ -1,47 +1,41 @@
 #pragma once
 // Minimal HTTP/1.1 front end for the surrogate serving engine.
 //
-// Two I/O modes share one routing/parsing core (serve/connection.*):
+// Readiness-driven I/O: a small fixed set of reactor threads own
+// nonblocking connections in an epoll set. Each connection is a state
+// machine (streaming parse buffer, ordered pending-response queue,
+// partial-write cursor; serve/connection.*); /v1/query dispatches into the
+// batcher's lock-free ring via query_async and the completion marshals the
+// response back to the owning reactor (eventfd wake only when the reactor
+// is actually parked in epoll_wait). Pipelined requests on one connection
+// batch together in the GEMM and their responses coalesce into single
+// writes, but always flush in request order. Thread count is fixed at
+// num_reactors no matter how many thousands of keep-alive connections are
+// open; idle connections cost one epoll registration and one lazy
+// idle-wheel entry, not a parked thread.
 //
-//  * IoMode::kReactor (default) — readiness-driven: a small fixed set of
-//    reactor threads own nonblocking connections in an epoll set. Each
-//    connection is a state machine (streaming parse buffer, ordered
-//    pending-response queue, partial-write cursor); /v1/query dispatches
-//    into the batcher's lock-free ring via query_async and the completion
-//    marshals the response back to the owning reactor (eventfd wake only
-//    when the reactor is actually parked in epoll_wait). Pipelined requests
-//    on one connection batch together in the GEMM and their responses
-//    coalesce into single writes, but always flush in request order.
-//    Thread count is fixed at num_reactors no matter how many thousands of
-//    keep-alive connections are open; idle connections cost one epoll
-//    registration and one lazy idle-wheel entry, not a parked thread.
-//  * IoMode::kThreads — the PR 6 thread-per-connection path with blocking
-//    reads/writes, kept verbatim as the A/B baseline for
-//    `bench_serve --io threads` (concurrency there = handler threads).
-//
-// The read path in both modes is a streaming loop: leftover buffered bytes
-// carry across requests, so a pipelining client gets one response per
-// request no matter how the bytes chunk onto reads. Content-Length is
-// validated (digits only, <= max_body_bytes) before any arithmetic;
-// GET-only endpoints return 405 for other verbs; HTTP/1.0 peers default to
-// Connection: close; the Connection header is parsed as a token list;
-// non-finite numbers are rejected on parse and refused on serialize;
-// everything emitted inside a JSON string is escaped.
+// The read path is a streaming loop: leftover buffered bytes carry across
+// requests, so a pipelining client gets one response per request no matter
+// how the bytes chunk onto reads. Content-Length is validated (digits
+// only, <= max_body_bytes) before any arithmetic; GET-only endpoints
+// return 405 for other verbs; HTTP/1.0 peers default to Connection: close;
+// the Connection header is parsed as a token list; non-finite numbers are
+// rejected on parse and refused on serialize; everything emitted inside a
+// JSON string is escaped.
 //
 // Degradation contract (the failure model, docs/ARCHITECTURE.md):
 //  * a full batcher queue surfaces as 503 + sgm_serve_rejected_total and a
 //    Retry-After hint (backpressure, not collapse);
 //  * a query whose `x-deadline-ms` request header (or the batcher's default
 //    deadline) is smaller than the estimated queue wait is shed up front:
-//    503 + Retry-After + sgm_serve_deadline_shed_total — identical in both
-//    I/O modes (query_async sheds synchronously at submit);
+//    503 + Retry-After + sgm_serve_deadline_shed_total (query_async sheds
+//    synchronously at submit);
 //  * /healthz reports the batcher's health state — "ok" / "degraded" (both
 //    200, degraded means load was shed recently or the queue is deep) or
 //    "draining" (503, stop() in progress) — so load balancers can steer
 //    away before hard failures;
-//  * stop() drains gracefully in both modes: accepted connections get their
-//    buffered requests answered (bounded by drain_deadline_s) before the
-//    hard stop.
+//  * stop() drains gracefully: accepted connections get their buffered
+//    requests answered (bounded by drain_deadline_s) before the hard stop.
 //
 // Routes:
 //   POST /v1/query   {"scenario": "<name>", "x": [..]}
@@ -59,58 +53,40 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "serve/batcher.hpp"
 #include "serve/connection.hpp"
 #include "serve/metrics.hpp"
 #include "serve/model_registry.hpp"
-#include "util/mutex.hpp"
 #include "util/socket.hpp"
 
 namespace sgm::serve {
 
-enum class IoMode : std::uint8_t {
-  kReactor,  ///< epoll readiness loop, nonblocking fds (default)
-  kThreads,  ///< thread-per-connection, blocking I/O (A/B baseline)
-};
-
-constexpr const char* to_string(IoMode m) {
-  return m == IoMode::kReactor ? "reactor" : "threads";
-}
-
 struct HttpServerOptions {
   std::uint16_t port = 0;        ///< 0 = ephemeral (read back via port())
-  std::size_t num_workers = 4;   ///< kThreads: connection handler threads
-  double recv_timeout_s = 10.0;  ///< idle keep-alive cutoff (both modes)
-  /// kThreads: per-connection write timeout (SO_SNDTIMEO) so a peer that
-  /// stops reading stalls its own connection, not a handler thread forever.
-  /// 0 disables. (The reactor never blocks on writes; a stalled peer just
-  /// keeps its EPOLLOUT armed until the idle cutoff.)
-  double send_timeout_s = 10.0;
+  /// Idle keep-alive cutoff. Writes never block, so a peer that stops
+  /// reading just keeps its EPOLLOUT armed until this cutoff closes it.
+  double recv_timeout_s = 10.0;
   /// stop() serves already-accepted connections for at most this long
   /// before hard-stopping.
   double drain_deadline_s = 2.0;
   std::size_t max_body_bytes = 1 << 20;
-  IoMode io_mode = IoMode::kReactor;
-  /// kReactor: event-loop threads. Connections are distributed round-robin
-  /// at accept; each is owned by exactly one reactor for its lifetime.
+  /// Event-loop threads. Connections are distributed round-robin at
+  /// accept; each is owned by exactly one reactor for its lifetime.
   std::size_t num_reactors = 1;
-  /// kReactor: per-connection cap on parsed-but-unanswered requests.
-  /// Reaching it pauses reading (EPOLLIN disarmed) until responses flush —
+  /// Per-connection cap on parsed-but-unanswered requests. Reaching it
+  /// pauses reading (EPOLLIN disarmed) until responses flush —
   /// per-connection backpressure on top of the batcher's bounded ring.
   std::size_t max_pipeline = 64;
 };
 
 class HttpServer {
  public:
-  /// Binds immediately (so port() is valid) and spawns the threads.
-  /// IoMode::kReactor requires a batcher with supports_async() (ring
-  /// queue mode); throws std::invalid_argument otherwise.
+  /// Binds immediately (so port() is valid) and spawns the reactor threads.
+  /// Throws std::invalid_argument for num_reactors or max_pipeline of 0.
   HttpServer(ModelRegistry& registry, InferenceBatcher& batcher,
              ServeMetrics& metrics, HttpServerOptions opt = {});
   ~HttpServer();
@@ -130,30 +106,11 @@ class HttpServer {
  private:
   struct Reactor;
 
-  // --- kThreads mode -------------------------------------------------------
-  void acceptor_loop();
-  void handler_loop();
-  /// Serves the connection until the peer closes, a request asks for (or
-  /// implies) close, an error occurs, the idle timeout passes, or the
-  /// server stops. Maintains a streaming read buffer across requests, so
-  /// pipelined requests (many per read) are all served.
-  void handle_connection(util::TcpSocket& conn);
-
-  /// `deadline_s` is the request's deadline budget (< 0 = none given).
-  /// `extra_headers` receives fully formed "Name: value\r\n" lines to splice
-  /// into the response head (Retry-After on shed responses). Used by the
-  /// blocking path; the reactor splits the /v1/query dispatch out (see
-  /// dispatch_request) and shares route_sync for everything else.
-  std::string route(const std::string& method, const std::string& target,
-                    const std::string& body, double deadline_s, int& status,
-                    std::string& extra_headers);
-
-  /// The non-query endpoints (/healthz, /metrics, /v1/models, 404s, 405s):
-  /// synchronous in both modes.
+  /// The non-query endpoints (/healthz, /metrics, /v1/models, 404s, 405s),
+  /// answered synchronously on the reactor thread.
   std::string route_sync(const std::string& method, const std::string& target,
                          int& status);
 
-  // --- kReactor mode -------------------------------------------------------
   void reactor_loop(Reactor& r);
   void wake(Reactor& r);
   void adopt_connection(Reactor& r, util::TcpSocket sock);
@@ -193,20 +150,9 @@ class HttpServer {
   /// "draining".
   std::atomic<bool> draining_{false};
 
-  // kThreads state.
-  /// Connections currently inside handle_connection (incremented under mu_
-  /// before the queue pop is published, so the drain loop can't miss one).
-  std::atomic<std::uint32_t> active_conns_{0};
-  util::Mutex mu_;
-  util::CondVar cv_;
-  std::deque<util::TcpSocket> conn_queue_ SGM_GUARDED_BY(mu_);
-  bool stop_ SGM_GUARDED_BY(mu_) = false;
-  std::thread acceptor_;
-  std::vector<std::thread> handlers_;
-
-  // kReactor state.
   std::vector<std::unique_ptr<Reactor>> reactors_;
-  std::atomic<bool> hard_stop_{false};  ///< reactor loops exit when set
+  /// Reactor loops exit when set; the stop() that sets it joins them.
+  std::atomic<bool> hard_stop_{false};
   /// Open reactor-owned connections across all reactors (drain progress).
   std::atomic<std::uint64_t> reactor_conns_{0};
   /// query_async dispatches whose completion has not finished yet. The

@@ -37,7 +37,7 @@ struct ServeMetrics {
   std::atomic<std::uint64_t> full_flushes_total{0};    ///< flushed at B
   std::atomic<std::uint64_t> deadline_flushes_total{0};///< flushed by timer
 
-  /// Currently open HTTP connections (gauge; both I/O modes maintain it).
+  /// Currently open HTTP connections (gauge).
   std::atomic<std::uint64_t> open_connections{0};
 
   /// End-to-end HTTP request handling time.

@@ -4,7 +4,6 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -104,8 +103,8 @@ bool TcpSocket::send_all(int fd, const char* buf, std::size_t n) {
       continue;
     }
     if (w < 0 && errno == EINTR) continue;
-    // Everything else — peer gone (EPIPE/ECONNRESET), SO_SNDTIMEO expiry
-    // (EAGAIN), bad fd — is a failed write; the caller owns the fallout.
+    // Everything else — peer gone (EPIPE/ECONNRESET), bad fd — is a failed
+    // write; the caller owns the fallout.
     return false;
   }
   return true;
@@ -119,11 +118,6 @@ void TcpSocket::set_nodelay(bool on) {
 void TcpSocket::set_recv_timeout(double seconds) {
   const timeval tv = to_timeval(seconds);
   ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-}
-
-void TcpSocket::set_send_timeout(double seconds) {
-  const timeval tv = to_timeval(seconds);
-  ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
 }
 
 void TcpSocket::close() {
@@ -163,42 +157,10 @@ TcpListener::TcpListener(std::uint16_t port, int backlog) {
     throw sys_error("TcpListener: getsockname");
   }
   port_ = ntohs(addr.sin_port);
-
-  if (::pipe(wake_pipe_) < 0) {
-    ::close(listen_fd_);
-    throw sys_error("TcpListener: pipe");
-  }
 }
 
 TcpListener::~TcpListener() {
-  close();
-  if (wake_pipe_[0] >= 0) ::close(wake_pipe_[0]);
-  if (wake_pipe_[1] >= 0) ::close(wake_pipe_[1]);
   if (listen_fd_ >= 0) ::close(listen_fd_);
-}
-
-TcpSocket TcpListener::accept() {
-  while (true) {
-    if (closed_.load(std::memory_order_acquire)) return TcpSocket();
-    pollfd fds[2];
-    fds[0] = {listen_fd_, POLLIN, 0};
-    fds[1] = {wake_pipe_[0], POLLIN, 0};
-    const int rc = ::poll(fds, 2, -1);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      return TcpSocket();
-    }
-    // Wake-pipe readable => close() was called while we were blocked.
-    if (fds[1].revents != 0 || closed_.load(std::memory_order_acquire))
-      return TcpSocket();
-    if (!(fds[0].revents & POLLIN)) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      return TcpSocket();
-    }
-    return TcpSocket(fd);
-  }
 }
 
 void TcpListener::set_nonblocking(bool on) {
@@ -220,14 +182,7 @@ TcpSocket TcpListener::accept_nb(bool& would_block) {
   }
 }
 
-void TcpListener::close() {
-  // Only signals: the fds stay open until destruction so a concurrent
-  // accept() never polls a closed descriptor (that would be a race).
-  if (!closed_.exchange(true, std::memory_order_acq_rel)) {
-    const char byte = 0;
-    [[maybe_unused]] ssize_t w = ::write(wake_pipe_[1], &byte, 1);
-  }
-}
+void TcpListener::close() { closed_.store(true, std::memory_order_release); }
 
 TcpSocket tcp_connect(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);

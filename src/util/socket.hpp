@@ -3,18 +3,15 @@
 // serve::HttpServer and the bench/test clients.
 //
 // Two I/O disciplines share these wrappers:
-//  * blocking calls (read_some/write_all, TcpListener::accept) — the
-//    thread-per-connection HTTP path and the simple test clients;
 //  * nonblocking calls (read_nb/write_some, TcpListener::accept_nb) for the
 //    epoll reactor in serve::HttpServer — would-block is a normal return
 //    (kWouldBlock), never an error, and partial writes report how far they
-//    got so the caller can keep a write cursor.
+//    got so the caller can keep a write cursor;
+//  * blocking calls (read_some/write_all, set_recv_timeout) for the bench
+//    and test clients.
 //
-// Shutdown contract: TcpListener::accept() blocks in poll() on the listening
-// fd plus an internal wake pipe, so close() from another thread reliably
-// unblocks any pending accept (closing a listening fd alone does not
-// guarantee that on Linux). All writes use MSG_NOSIGNAL — a peer that
-// disappears surfaces as an error return, never SIGPIPE.
+// All writes use MSG_NOSIGNAL — a peer that disappears surfaces as an error
+// return, never SIGPIPE.
 
 #include <atomic>
 #include <cstddef>
@@ -63,9 +60,8 @@ class TcpSocket {
   void set_nonblocking(bool on);
 
   /// Writes all `n` bytes through the single audited send loop (send_all):
-  /// partial sends resume where they left off, EINTR retries, and a
-  /// SO_SNDTIMEO expiry (peer stopped reading) surfaces as false like any
-  /// other error. Never raises SIGPIPE. Returns false on any error.
+  /// partial sends resume where they left off and EINTR retries. Never
+  /// raises SIGPIPE. Returns false on any error.
   bool write_all(const char* buf, std::size_t n) {
     return send_all(fd_, buf, n);
   }
@@ -76,30 +72,24 @@ class TcpSocket {
   /// Disables Nagle batching; latency-sensitive request/response traffic.
   void set_nodelay(bool on);
 
-  /// Read timeout (SO_RCVTIMEO); 0 disables. Guards server worker threads
-  /// against idle keep-alive connections parking forever.
+  /// Read timeout (SO_RCVTIMEO); 0 disables. Bounds a blocking client read
+  /// against a server that never answers.
   void set_recv_timeout(double seconds);
-
-  /// Write timeout (SO_SNDTIMEO); 0 disables. A peer that accepts the
-  /// connection but never drains its receive buffer would otherwise park a
-  /// blocking send (and its handler thread) forever; with the timeout the
-  /// stalled send fails and write_all returns false.
-  void set_send_timeout(double seconds);
 
   void close();
 
  private:
-  /// The one send loop every write goes through (keeping the partial-write /
-  /// EINTR handling in a single audited place). The `socket.short_send`
-  /// failpoint caps each send at one byte so tests can drive the resume
-  /// path deterministically.
+  /// The one blocking send loop, behind both write_all overloads (keeping
+  /// the partial-write / EINTR handling in a single audited place). The
+  /// `socket.short_send` failpoint caps each send at one byte so tests can
+  /// drive the resume path deterministically.
   static bool send_all(int fd, const char* buf, std::size_t n);
 
   int fd_ = -1;
 };
 
-/// Listening socket bound to 127.0.0.1. Thread-safe close() that unblocks a
-/// concurrent accept().
+/// Listening socket bound to 127.0.0.1. Thread-safe close() that makes every
+/// later accept_nb() fail.
 class TcpListener {
  public:
   /// Binds and listens on 127.0.0.1:`port`; port 0 picks an ephemeral port
@@ -112,8 +102,8 @@ class TcpListener {
 
   std::uint16_t port() const { return port_; }
 
-  /// The listening descriptor — for registration in an epoll set (the
-  /// reactor I/O mode). Combine with set_nonblocking() + accept_nb().
+  /// The listening descriptor — for registration in an epoll set. Combine
+  /// with set_nonblocking() + accept_nb().
   int fd() const { return listen_fd_; }
 
   /// Puts the *listening* fd into nonblocking mode so accept_nb never
@@ -121,24 +111,21 @@ class TcpListener {
   /// client that reset before the accept).
   void set_nonblocking(bool on);
 
-  /// Blocks until a client connects or close() is called. Returns an invalid
-  /// socket exactly when the listener was closed.
-  TcpSocket accept();
-
-  /// Nonblocking accept (accept4): the returned connection is already in
-  /// nonblocking mode. On an invalid return, `would_block` distinguishes
-  /// "no pending connection right now" (true) from a real error or a closed
-  /// listener (false). Retries EINTR/ECONNABORTED internally.
+  /// Accept via accept4: the returned connection is always in nonblocking
+  /// mode; the call itself blocks only if the listening fd is blocking. On
+  /// an invalid return, `would_block` distinguishes "no pending connection
+  /// right now" (true) from a real error or a closed listener (false).
+  /// Retries EINTR/ECONNABORTED internally.
   TcpSocket accept_nb(bool& would_block);
 
-  /// Signals shutdown; idempotent, safe from any thread while accept() is
-  /// blocked. Descriptors are released by the destructor (which must not run
-  /// concurrently with accept() — join the acceptor thread first).
+  /// Signals shutdown; idempotent and safe from any thread. The descriptor
+  /// stays open until the destructor, so a concurrent accept_nb() never
+  /// touches a closed (or reused) fd; the destructor must not run
+  /// concurrently with accept_nb().
   void close();
 
  private:
   int listen_fd_ = -1;
-  int wake_pipe_[2] = {-1, -1};  ///< close() writes, accept() polls
   std::uint16_t port_ = 0;
   std::atomic<bool> closed_{false};
 };

@@ -1,4 +1,4 @@
-// Checkpoint format contract (nn/serialize v2 binary + legacy v1 text).
+// Checkpoint format contract (nn/serialize v2 binary).
 //
 // What is pinned here:
 //  * save/load round-trips are BITWISE — every weight byte identical —
@@ -6,16 +6,11 @@
 //    Fourier-encoded ones, whose frequency matrices ride in the header);
 //  * malformed input (wrong magic, unsupported version, truncation, any
 //    single flipped byte) is a std::runtime_error, never UB: the FNV-1a64
-//    trailer covers the whole body;
-//  * the legacy v1 text format still loads through load_parameters(),
-//    pinned by a committed fixture (tests/data/mlp_v1_text.ckpt) written by
-//    the pre-PR-6 text writer.
+//    trailer covers the whole body.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -23,10 +18,6 @@
 #include "nn/serialize.hpp"
 #include "pinn/scenario.hpp"
 #include "util/rng.hpp"
-
-#ifndef SGM_TEST_DATA_DIR
-#define SGM_TEST_DATA_DIR "tests/data"
-#endif
 
 namespace {
 
@@ -177,34 +168,6 @@ TEST(SerializeErrors, GarbageIsAnError) {
   EXPECT_THROW(sgm::nn::load_parameters(net, in), std::runtime_error);
   std::istringstream in2("not a checkpoint at all", std::ios::binary);
   EXPECT_THROW(sgm::nn::load_model(in2), std::runtime_error);
-}
-
-// ------------------------------------------------------- legacy v1 fixture --
-
-TEST(SerializeLegacy, CommittedV1TextFixtureStillLoads) {
-  // The fixture was written by the pre-PR-6 text writer from exactly this
-  // configuration and seed; %.17g text round-trips doubles exactly, so the
-  // load must reproduce the original weights bitwise.
-  MlpConfig cfg;
-  cfg.input_dim = 2;
-  cfg.output_dim = 3;
-  cfg.width = 16;
-  cfg.depth = 3;
-  sgm::util::Rng rng(20260808);
-  Mlp original(cfg, rng);
-
-  Mlp reloaded(cfg, rng);  // different init (rng advanced)
-  const std::string path =
-      std::string(SGM_TEST_DATA_DIR) + "/mlp_v1_text.ckpt";
-  ASSERT_TRUE(std::filesystem::exists(path)) << path;
-  sgm::nn::load_checkpoint(reloaded, path);
-  expect_bitwise_equal_params(original, reloaded, "v1 fixture");
-}
-
-TEST(SerializeLegacy, V1FixtureRejectedByFullModelLoader) {
-  const std::string path =
-      std::string(SGM_TEST_DATA_DIR) + "/mlp_v1_text.ckpt";
-  EXPECT_THROW(sgm::nn::load_model_file(path), std::runtime_error);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 //    under ThreadSanitizer in CI (serve-smoke job).
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -45,7 +46,6 @@ using sgm::serve::BatcherOptions;
 using sgm::serve::InferenceBatcher;
 using sgm::serve::ModelRegistry;
 using sgm::serve::QueueFullError;
-using sgm::serve::QueueMode;
 using sgm::serve::ServeMetrics;
 using sgm::tensor::Matrix;
 
@@ -354,35 +354,10 @@ TEST_F(ServeTest, BatcherErrorPaths) {
   batcher.stop();  // idempotent
 }
 
-// The PR 6 mutex+promise path is kept as the bench A/B arm; it must keep
-// serving bitwise-correct responses and its stop() contract.
-TEST_F(ServeTest, LegacyMutexModeStillServesBitwise) {
-  ModelRegistry registry(root_);
-  sgm::util::Rng rng(36);
-  Mlp net(small_config(), rng);
-  registry.publish("s", net);
-
-  BatcherOptions opt;
-  opt.mode = QueueMode::kMutex;
-  opt.max_delay_s = 1e-4;
-  InferenceBatcher batcher(registry, opt);
-
-  const Matrix probes = probe_batch(16, net.config().input_dim, 91);
-  const Matrix expected = net.forward(probes);
-  for (std::size_t r = 0; r < probes.rows(); ++r) {
-    const auto resp = batcher.query("s", row_vec(probes, r));
-    ASSERT_EQ(std::memcmp(resp.y.data(), expected.row(r),
-                          resp.y.size() * sizeof(double)),
-              0);
-  }
-  EXPECT_THROW(batcher.query("never", {0.0, 0.0}), std::out_of_range);
-  batcher.stop();
-  EXPECT_THROW(batcher.query("s", {0.0, 0.0}), std::runtime_error);
-}
-
-// Far more queries than the slot pool: every slot is recycled through many
-// generations, and a stale generation tag would surface as a wrong or torn
-// response (bitwise check) or a hang.
+// Far more queries than the slot pool: every slot is reused hundreds of
+// times, and a slot handed back to the freelist before its response was
+// delivered (or delivered to the wrong waiter) would surface as a wrong or
+// torn response (bitwise check) or a hang.
 TEST_F(ServeTest, RingSlotsRecycleCorrectlyAcrossGenerations) {
   ModelRegistry registry(root_);
   sgm::util::Rng rng(37);
@@ -422,6 +397,50 @@ TEST_F(ServeTest, RingSlotsRecycleCorrectlyAcrossGenerations) {
     });
   }
   for (auto& t : clients) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+// Callers blocked in query() when stop() begins are answered by the
+// graceful drain, each with its own bitwise-correct row: query() waits on a
+// completion that a worker (or, past the drain deadline, the stop() thread)
+// runs, and no caller may hang or receive another caller's answer.
+TEST_F(ServeTest, BlockedQueryCallersAreAnsweredAcrossStop) {
+  ModelRegistry registry(root_);
+  sgm::util::Rng rng(39);
+  Mlp net(small_config(), rng);
+  registry.publish("s", net);
+
+  BatcherOptions opt;
+  opt.max_delay_s = 50e-3;     // the partial batch waits for stragglers ...
+  opt.drain_deadline_s = 1.0;  // ... well inside the drain window
+  InferenceBatcher batcher(registry, opt);
+
+  constexpr std::size_t kCallers = 8;
+  const Matrix probes = probe_batch(kCallers, net.config().input_dim, 93);
+  const Matrix expected = net.forward(probes);
+  std::atomic<int> returned{0}, failed{0}, mismatches{0};
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      try {
+        const auto resp = batcher.query("s", row_vec(probes, c));
+        if (resp.y.size() != expected.cols() ||
+            std::memcmp(resp.y.data(), expected.row(c),
+                        resp.y.size() * sizeof(double)) != 0)
+          mismatches.fetch_add(1);
+      } catch (const std::exception&) {
+        failed.fetch_add(1);
+      }
+      returned.fetch_add(1);
+    });
+  }
+  while (batcher.in_flight() < kCallers && returned.load() == 0)
+    std::this_thread::yield();
+  EXPECT_EQ(returned.load(), 0)
+      << "the batch was served before every caller was blocked in query()";
+  batcher.stop();
+  for (auto& t : callers) t.join();
+  EXPECT_EQ(failed.load(), 0);
   EXPECT_EQ(mismatches.load(), 0);
 }
 
@@ -626,14 +645,10 @@ std::string response_body(const std::string& response) {
 }
 
 struct HttpStack {
-  explicit HttpStack(const std::string& root,
-                     sgm::serve::IoMode io = sgm::serve::IoMode::kReactor)
+  explicit HttpStack(const std::string& root)
       : registry(root), batcher(registry, batcher_opts(), &metrics) {
-    sgm::serve::HttpServerOptions hopt;
-    hopt.num_workers = 2;
-    hopt.io_mode = io;
-    server = std::make_unique<sgm::serve::HttpServer>(registry, batcher,
-                                                      metrics, hopt);
+    server =
+        std::make_unique<sgm::serve::HttpServer>(registry, batcher, metrics);
   }
   ~HttpStack() {
     server->stop();
@@ -861,9 +876,7 @@ TEST_F(ServeTest, HttpQueueFullReturns503) {
   bopt.max_batch = 8;        // batches never fill ...
   bopt.max_delay_s = 50e-3;  // ... so each query holds its slot ~50 ms
   InferenceBatcher batcher(registry, bopt, &metrics);
-  sgm::serve::HttpServerOptions hopt;
-  hopt.num_workers = 2;
-  sgm::serve::HttpServer server(registry, batcher, metrics, hopt);
+  sgm::serve::HttpServer server(registry, batcher, metrics);
 
   sgm::util::Rng rng(45);
   Mlp net(small_config(), rng);
@@ -1053,14 +1066,11 @@ TEST_F(ServeTest, Http503RetryWithBackoffEventuallySucceeds) {
   ModelRegistry registry(root_);
   ServeMetrics metrics;
   BatcherOptions bopt;
-  bopt.mode = QueueMode::kRing;
   bopt.queue_capacity = 2;
   bopt.max_batch = 8;        // batches never fill ...
   bopt.max_delay_s = 20e-3;  // ... so each query holds its slot ~20 ms
   InferenceBatcher batcher(registry, bopt, &metrics);
-  sgm::serve::HttpServerOptions hopt;
-  hopt.num_workers = 2;
-  sgm::serve::HttpServer server(registry, batcher, metrics, hopt);
+  sgm::serve::HttpServer server(registry, batcher, metrics);
 
   sgm::util::Rng rng(54);
   Mlp net(small_config(), rng);
@@ -1122,8 +1132,6 @@ TEST_F(ServeTest, Http503RetryWithBackoffEventuallySucceeds) {
 
 // ----------------------------------------- PR 10: reactor + request-path fixes
 
-using sgm::serve::IoMode;
-
 /// Reads exactly one complete HTTP response (head + Content-Length body)
 /// from a keep-alive connection. `leftover` carries bytes of the *next*
 /// response across calls, so pipelined responses split correctly no matter
@@ -1152,19 +1160,11 @@ std::string read_one_response(sgm::util::TcpSocket& conn,
   }
 }
 
-/// Every request-path contract must hold identically under the epoll
-/// reactor (default) and the thread-per-connection A/B baseline.
-class HttpIo : public ServeTest,
-               public testing::WithParamInterface<IoMode> {};
+/// The request-path contracts of the epoll reactor.
+class HttpIo : public ServeTest {};
 
-INSTANTIATE_TEST_SUITE_P(IoModes, HttpIo,
-                         testing::Values(IoMode::kReactor, IoMode::kThreads),
-                         [](const testing::TestParamInfo<IoMode>& info) {
-                           return std::string(sgm::serve::to_string(info.param));
-                         });
-
-TEST_P(HttpIo, QueryAndPipeliningServeInBothModes) {
-  HttpStack stack(root_, GetParam());
+TEST_F(HttpIo, QueryAndPipelining) {
+  HttpStack stack(root_);
   sgm::util::Rng rng(61);
   Mlp net(small_config(), rng);
   stack.registry.publish("s", net);
@@ -1189,8 +1189,8 @@ TEST_P(HttpIo, QueryAndPipeliningServeInBothModes) {
 
 // Satellite 1: nan/inf and overflowing literals like 1e999 are not JSON and
 // must never reach the model as silent poison — reject with 400 at parse.
-TEST_P(HttpIo, NonFiniteNumbersRejectedWith400) {
-  HttpStack stack(root_, GetParam());
+TEST_F(HttpIo, NonFiniteNumbersRejectedWith400) {
+  HttpStack stack(root_);
   sgm::util::Rng rng(62);
   Mlp net(small_config(), rng);
   stack.registry.publish("s", net);
@@ -1237,8 +1237,8 @@ TEST_F(ServeTest, RenderQueryBodyRefusesNonFinitePredictions) {
 // "x" — so the *value* of "scenario" spells the next key — must parse. The
 // old find_key raw-scanned for `"x"` and matched the one inside the
 // scenario string, then failed to find an array after it.
-TEST_P(HttpIo, ScenarioValueCannotShadowBodyKey) {
-  HttpStack stack(root_, GetParam());
+TEST_F(HttpIo, ScenarioValueCannotShadowBodyKey) {
+  HttpStack stack(root_);
   MlpConfig cfg = small_config();
   cfg.input_dim = 1;
   sgm::util::Rng rng(63);
@@ -1272,8 +1272,8 @@ TEST_P(HttpIo, ScenarioValueCannotShadowBodyKey) {
 // "keep-alive, Upgrade" on an HTTP/1.0 request must keep the connection
 // alive (the old exact-match compare saw neither token and fell back to the
 // 1.0 close default); "Upgrade, close" on HTTP/1.1 must close.
-TEST_P(HttpIo, ConnectionHeaderParsedAsTokenList) {
-  HttpStack stack(root_, GetParam());
+TEST_F(HttpIo, ConnectionHeaderParsedAsTokenList) {
+  HttpStack stack(root_);
   sgm::util::Rng rng(64);
   Mlp net(small_config(), rng);
   stack.registry.publish("s", net);
@@ -1304,21 +1304,19 @@ TEST_P(HttpIo, ConnectionHeaderParsedAsTokenList) {
 }
 
 // Satellite 3a: EINTR while parked waiting for readiness is a retry, never
-// a disconnect. The failpoint fakes a signal delivery in the idle wait of
-// whichever I/O path is under test; a healthy keep-alive connection must
-// survive it and serve the next request.
-TEST_P(HttpIo, EintrDuringIdleWaitIsRetriedNotFatal) {
-  HttpStack stack(root_, GetParam());
+// a disconnect. The failpoint fakes a signal delivery in the reactor's
+// epoll_wait; a healthy keep-alive connection must survive it and serve the
+// next request.
+TEST_F(HttpIo, EintrDuringIdleWaitIsRetriedNotFatal) {
+  HttpStack stack(root_);
   sgm::util::Rng rng(65);
   Mlp net(small_config(), rng);
   stack.registry.publish("s", net);
   const std::uint16_t port = stack.server->port();
 
-  const char* failpoint = GetParam() == IoMode::kReactor ? "http.epoll_eintr"
-                                                         : "http.poll_eintr";
   sgm::util::TcpSocket conn = sgm::util::tcp_connect(port);
   std::string leftover;
-  sgm::util::FailpointRegistry::instance().arm(failpoint, "once");
+  sgm::util::FailpointRegistry::instance().arm("http.epoll_eintr", "once");
   ASSERT_TRUE(conn.write_all(
       "GET /healthz HTTP/1.1\r\nHost: h\r\nConnection: keep-alive\r\n\r\n"));
   std::string resp = read_one_response(conn, leftover);
@@ -1333,10 +1331,9 @@ TEST_P(HttpIo, EintrDuringIdleWaitIsRetriedNotFatal) {
   EXPECT_EQ(response_status(resp), 200) << resp;
 }
 
-// The open-connections gauge tracks accepted-but-not-yet-closed sockets in
-// both I/O modes.
-TEST_P(HttpIo, MetricsReportOpenConnectionsGauge) {
-  HttpStack stack(root_, GetParam());
+// The open-connections gauge tracks accepted-but-not-yet-closed sockets.
+TEST_F(HttpIo, MetricsReportOpenConnectionsGauge) {
+  HttpStack stack(root_);
   const std::uint16_t port = stack.server->port();
 
   // Hold one keep-alive connection open while scraping on a second: the
@@ -1456,8 +1453,7 @@ TEST_F(ServeTest, ReactorServes256PipelinedConnectionsBitwiseExact) {
 }
 
 // query_async is the reactor's dispatch primitive: the completion must
-// deliver the same bitwise payload the blocking query() returns, and the
-// mutex A/B arm must refuse it loudly (it has no completion machinery).
+// deliver the same bitwise payload the blocking query() returns.
 TEST_F(ServeTest, QueryAsyncDeliversBitwiseEqualCompletion) {
   ModelRegistry registry(root_);
   sgm::util::Rng rng(67);
@@ -1467,7 +1463,6 @@ TEST_F(ServeTest, QueryAsyncDeliversBitwiseEqualCompletion) {
   BatcherOptions opt;
   opt.max_delay_s = 100e-6;
   InferenceBatcher batcher(registry, opt);
-  ASSERT_TRUE(batcher.supports_async());
 
   struct Ctx {
     std::atomic<bool> done{false};
@@ -1517,40 +1512,58 @@ TEST_F(ServeTest, QueryAsyncDeliversBitwiseEqualCompletion) {
   while (!ectx.done.load(std::memory_order_acquire)) std::this_thread::yield();
   EXPECT_EQ(ectx.error, sgm::serve::QueryError::kNotFound);
   batcher.stop();
-
-  BatcherOptions mopt;
-  mopt.mode = QueueMode::kMutex;
-  InferenceBatcher mutex_batcher(registry, mopt);
-  EXPECT_FALSE(mutex_batcher.supports_async());
-  EXPECT_THROW(mutex_batcher.query_async(
-                   "s", {0.1, 0.2}, -1.0,
-                   [](void*, std::uint64_t, std::uint64_t,
-                      InferenceBatcher::Response&&, sgm::serve::QueryError,
-                      const std::string&) {},
-                   nullptr, 0, 0),
-               std::logic_error);
-  mutex_batcher.stop();
 }
 
-// The reactor refuses to start on a batcher that cannot dispatch
-// asynchronously — a misconfiguration, not a silent fallback.
-TEST_F(ServeTest, ReactorRequiresAsyncCapableBatcher) {
+double process_cpu_s() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+         static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) * 1e-6;
+}
+
+// A client that connects after stop() began waits in the listener's kernel
+// backlog, so the (still open) listener stays readable while accept_nb
+// refuses the connection. Reactor 0 must stop watching the listener when it
+// sees the drain; if it does not, its level-triggered epoll spins on that
+// readiness until the hard stop. One query held ~1 s by the flush delay
+// keeps the drain open long enough to tell a spin from an idle wait.
+TEST_F(ServeTest, LateConnectDuringDrainDoesNotSpinTheReactor) {
   ModelRegistry registry(root_);
   ServeMetrics metrics;
   BatcherOptions bopt;
-  bopt.mode = QueueMode::kMutex;
+  bopt.max_delay_s = 1.0;
   InferenceBatcher batcher(registry, bopt, &metrics);
-  sgm::serve::HttpServerOptions hopt;  // io_mode defaults to kReactor
-  EXPECT_THROW(sgm::serve::HttpServer(registry, batcher, metrics, hopt),
-               std::invalid_argument);
+  sgm::serve::HttpServer server(registry, batcher, metrics);
 
-  // The same batcher works fine behind the thread-per-connection mode.
-  hopt.io_mode = IoMode::kThreads;
-  sgm::serve::HttpServer server(registry, batcher, metrics, hopt);
-  EXPECT_EQ(response_body(http_request(server.port(), "GET", "/healthz", "")),
-            "ok\n");
-  server.stop();
+  sgm::util::Rng rng(68);
+  Mlp net(small_config(), rng);
+  registry.publish("s", net);
+  const std::uint16_t port = server.port();
+
+  std::string held;
+  std::thread client([&] {
+    held = http_request(port, "POST", "/v1/query",
+                        "{\"scenario\": \"s\", \"x\": [0.5, 0.5]}");
+  });
+  while (batcher.in_flight() == 0) std::this_thread::yield();
+
+  const double cpu_before = process_cpu_s();
+  const auto wall_before = std::chrono::steady_clock::now();
+  std::thread stopper([&] { server.stop(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  sgm::util::TcpSocket late = sgm::util::tcp_connect(port);
+  stopper.join();
+  const double stop_wall_s = std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - wall_before)
+                                 .count();
+  const double stop_cpu_s = process_cpu_s() - cpu_before;
+  client.join();
   batcher.stop();
+
+  EXPECT_EQ(response_status(held), 200) << held;
+  EXPECT_LT(stop_cpu_s, 0.5 * stop_wall_s)
+      << "stop() took " << stop_wall_s << " s wall but the process burned "
+      << stop_cpu_s << " s CPU";
 }
 
 }  // namespace
