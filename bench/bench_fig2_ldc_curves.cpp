@@ -5,9 +5,9 @@
 #include <cstdio>
 #include <memory>
 
-#include "cfd/ldc_solver.hpp"
 #include "common.hpp"
 #include "pinn/navier_stokes.hpp"
+#include "pinn/scenario.hpp"
 
 using namespace sgm;
 
@@ -17,21 +17,16 @@ int main() {
   std::printf("bench_fig2_ldc_curves: budget %.0fs/arm, %d seed(s)\n",
               budget, seeds);
 
-  cfd::LdcOptions ref_opt;
-  ref_opt.n = 81;
-  ref_opt.reynolds = 10.0;
-  auto reference = std::make_shared<const cfd::LdcSolution>(
-      cfd::solve_lid_driven_cavity(ref_opt));
+  // The registered ldc_zeroeq scenario is the small-N problem; its
+  // reference fields serve every arm.
+  const pinn::ScenarioConfig scenario = pinn::ScenarioRegistry::instance().make(
+      "ldc_zeroeq", pinn::ScenarioScale::kFull);
+  const auto& small_problem =
+      dynamic_cast<const pinn::LdcProblem&>(*scenario.problem);
 
-  pinn::LdcProblem::Options small_opt;
-  small_opt.reynolds = 10.0;
-  small_opt.interior_points = 16384;
-  small_opt.boundary_points = 2048;
-  pinn::LdcProblem small_problem(small_opt, reference);
-
-  pinn::LdcProblem::Options large_opt = small_opt;
+  pinn::LdcProblem::Options large_opt = small_problem.options();
   large_opt.interior_points = 32768;
-  pinn::LdcProblem large_problem(large_opt, reference);
+  pinn::LdcProblem large_problem(large_opt, small_problem.reference());
 
   nn::MlpConfig net_cfg;
   net_cfg.input_dim = 2;

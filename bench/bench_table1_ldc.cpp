@@ -13,9 +13,9 @@
 #include <cstdio>
 #include <memory>
 
-#include "cfd/ldc_solver.hpp"
 #include "common.hpp"
 #include "pinn/navier_stokes.hpp"
+#include "pinn/scenario.hpp"
 
 using namespace sgm;
 
@@ -25,28 +25,20 @@ int main() {
   std::printf("bench_table1_ldc: budget %.0fs/arm, %d seed(s)\n", budget,
               seeds);
 
-  // Reference fields (the OpenFOAM stand-in).
-  cfd::LdcOptions ref_opt;
-  ref_opt.n = 81;
-  ref_opt.reynolds = 10.0;
-  auto reference = std::make_shared<const cfd::LdcSolution>(
-      cfd::solve_lid_driven_cavity(ref_opt));
-  std::printf("reference solver: %s after %d sweeps\n",
-              reference->converged ? "converged" : "NOT converged",
-              reference->iterations);
+  // The registered ldc_zeroeq scenario is the small-N problem; its
+  // reference fields (the OpenFOAM stand-in) serve every arm.
+  const pinn::ScenarioConfig scenario = pinn::ScenarioRegistry::instance().make(
+      "ldc_zeroeq", pinn::ScenarioScale::kFull);
+  const auto& small_problem =
+      dynamic_cast<const pinn::LdcProblem&>(*scenario.problem);
+  std::printf("reference solver: converged after %d outer iterations\n",
+              small_problem.reference()->iterations);
 
-  // Small-N problem for the reduced arms, large-N for the baseline
-  // (paper: 8M vs 16M; here 16k vs 32k, same 1:2 ratio).
-  pinn::LdcProblem::Options small_opt;
-  small_opt.reynolds = 10.0;
-  small_opt.interior_points = 16384;
-  small_opt.boundary_points = 2048;
-  small_opt.zero_equation = true;
-  pinn::LdcProblem small_problem(small_opt, reference);
-
-  pinn::LdcProblem::Options large_opt = small_opt;
+  // Large-N problem for the baseline (paper: 8M vs 16M; here 16k vs 32k,
+  // same 1:2 ratio).
+  pinn::LdcProblem::Options large_opt = small_problem.options();
   large_opt.interior_points = 32768;
-  pinn::LdcProblem large_problem(large_opt, reference);
+  pinn::LdcProblem large_problem(large_opt, small_problem.reference());
 
   nn::MlpConfig net_cfg;
   net_cfg.input_dim = 2;

@@ -22,36 +22,32 @@ double LdcSolution::sample(const Matrix& field, double x, double y) const {
          f01 * (1 - fx) * fy + f11 * fx * fy;
 }
 
-LdcSolution solve_lid_driven_cavity(const LdcOptions& opt) {
-  if (opt.n < 8) throw std::invalid_argument("LDC: grid too small");
-  if (opt.reynolds <= 0) throw std::invalid_argument("LDC: Re must be > 0");
-  const int n = opt.n;
-  const double h = 1.0 / (n - 1);
+namespace {
+
+constexpr double kPsiRelaxation = 1.8;  ///< SOR factor for the Poisson solve
+constexpr int kPsiSweeps = 5;           ///< Poisson sweeps per outer iteration
+constexpr int kMinCoarseGrid = 17;      ///< smallest grid of the nesting
+
+/// Outer iterations on one grid from the state in `sol` until the stopping
+/// rule holds, an update is non-finite, or `max_iterations` run out.
+void iterate(LdcSolution& sol, const LdcOptions& opt) {
+  const int n = sol.n;
+  const double h = sol.h;
   const double inv_re_h2 = 1.0 / (opt.reynolds * h * h);
-
-  LdcSolution sol;
-  sol.n = n;
-  sol.h = h;
-  sol.u = Matrix(n, n);
-  sol.v = Matrix(n, n);
-  sol.psi = Matrix(n, n);
-  sol.omega = Matrix(n, n);
-
   Matrix& u = sol.u;
   Matrix& v = sol.v;
   Matrix& psi = sol.psi;
   Matrix& w = sol.omega;
-  for (int i = 0; i < n; ++i) u(n - 1, i) = opt.lid_velocity;
 
   for (int outer = 0; outer < opt.max_iterations; ++outer) {
     // --- Streamfunction Poisson solve: nabla^2 psi = -omega (SOR) ---
-    for (int sweep = 0; sweep < opt.psi_sweeps; ++sweep) {
+    for (int sweep = 0; sweep < kPsiSweeps; ++sweep) {
       for (int j = 1; j < n - 1; ++j) {
         for (int i = 1; i < n - 1; ++i) {
           const double gs = 0.25 * (psi(j, i + 1) + psi(j, i - 1) +
                                     psi(j + 1, i) + psi(j - 1, i) +
                                     h * h * w(j, i));
-          psi(j, i) += opt.psi_relaxation * (gs - psi(j, i));
+          psi(j, i) += kPsiRelaxation * (gs - psi(j, i));
         }
       }
     }
@@ -77,6 +73,7 @@ LdcSolution solve_lid_driven_cavity(const LdcOptions& opt) {
 
     // --- Vorticity transport: first-order upwind, Gauss-Seidel ---
     double max_delta = 0.0;
+    bool finite = true;  // std::max drops a NaN, so track it separately
     for (int j = 1; j < n - 1; ++j) {
       for (int i = 1; i < n - 1; ++i) {
         const double uij = u(j, i), vij = v(j, i);
@@ -90,17 +87,60 @@ LdcSolution solve_lid_driven_cavity(const LdcOptions& opt) {
                             ap;
         const double delta = wnew - w(j, i);
         max_delta = std::max(max_delta, std::fabs(delta));
-        w(j, i) += opt.omega_relaxation * delta;
+        finite = finite && std::isfinite(delta);
+        w(j, i) = wnew;
       }
     }
 
     sol.iterations = outer + 1;
+    if (!finite) return;
     if (max_delta < opt.tolerance && outer > 10) {
       sol.converged = true;
-      break;
+      return;
     }
   }
+}
+
+/// Solves on grid n, started from the bilinear prolongation of the solve
+/// on grid (n + 1) / 2 when n - 1 is even and that grid is not too small,
+/// and from rest otherwise.
+LdcSolution solve_nested(int n, const LdcOptions& opt) {
+  LdcSolution sol;
+  sol.n = n;
+  sol.h = 1.0 / (n - 1);
+  sol.u = Matrix(n, n);
+  sol.v = Matrix(n, n);
+  sol.psi = Matrix(n, n);
+  sol.omega = Matrix(n, n);
+  for (int i = 0; i < n; ++i) sol.u(n - 1, i) = opt.lid_velocity;
+
+  const int coarse_n = (n - 1) / 2 + 1;
+  if ((n - 1) % 2 == 0 && coarse_n >= kMinCoarseGrid) {
+    const LdcSolution coarse = solve_nested(coarse_n, opt);
+    for (int j = 0; j < n; ++j) {
+      for (int i = 0; i < n; ++i) {
+        sol.psi(j, i) = coarse.sample(coarse.psi, i * sol.h, j * sol.h);
+        sol.omega(j, i) = coarse.sample(coarse.omega, i * sol.h, j * sol.h);
+      }
+    }
+  }
+  iterate(sol, opt);
   return sol;
+}
+
+}  // namespace
+
+LdcSolution solve_lid_driven_cavity(const LdcOptions& opt) {
+  if (opt.n < 8) throw std::invalid_argument("LDC: grid too small");
+  if (!std::isfinite(opt.reynolds) || opt.reynolds <= 0)
+    throw std::invalid_argument("LDC: Re must be finite and > 0");
+  if (!std::isfinite(opt.lid_velocity))
+    throw std::invalid_argument("LDC: lid velocity must be finite");
+  if (!std::isfinite(opt.tolerance) || opt.tolerance <= 0)
+    throw std::invalid_argument("LDC: tolerance must be finite and > 0");
+  if (opt.max_iterations < 1)
+    throw std::invalid_argument("LDC: max_iterations must be >= 1");
+  return solve_nested(opt.n, opt);
 }
 
 const std::vector<std::pair<double, double>>& ghia_re100_u_centerline() {

@@ -6,9 +6,19 @@
 // Vorticity-streamfunction formulation on a uniform n x n grid:
 //   nabla^2 psi = -omega
 //   u dw/dx + v dw/dy = (1/Re) nabla^2 omega
-// with Thom's wall formula for boundary vorticity and SOR/Gauss-Seidel
-// sweeps. Verified in tests against the published Ghia, Ghia & Shin (1982)
-// centerline profiles.
+// with Thom's wall formula for boundary vorticity. Each outer iteration runs
+// five SOR sweeps of the psi Poisson equation, takes the velocities from psi
+// by central differences, and runs one first-order upwind Gauss-Seidel sweep
+// of the vorticity transport. A grid stops once max |d omega| of a sweep is
+// below `tolerance` after more than 10 outer iterations.
+//
+// The grids are nested: while n - 1 is even and the coarser grid keeps at
+// least 17 points per side, the solve first runs on grid (n + 1) / 2 and
+// starts grid n from the bilinear prolongation of its psi and omega
+// (81 -> 41 -> 21, solved 21, 41, 81; n = 50 is a single grid). The
+// coarsest grid starts from rest. `iterations` and `converged` report the
+// finest grid. Verified in tests against the published Ghia, Ghia & Shin
+// (1982) centerline profiles.
 
 #include "tensor/matrix.hpp"
 
@@ -18,11 +28,8 @@ struct LdcOptions {
   int n = 129;               ///< grid points per side
   double reynolds = 100.0;
   double lid_velocity = 1.0;
-  int max_iterations = 100000;   ///< outer vorticity-transport sweeps
+  int max_iterations = 100000;   ///< outer iterations per grid
   double tolerance = 1e-7;       ///< max |d omega| per sweep to stop
-  double psi_relaxation = 1.8;   ///< SOR factor for the Poisson solve
-  int psi_sweeps = 30;           ///< Poisson sweeps per outer iteration
-  double omega_relaxation = 0.6; ///< under-relaxation for transport
 };
 
 struct LdcSolution {
@@ -38,7 +45,10 @@ struct LdcSolution {
   double sample_v(double x, double y) const { return sample(v, x, y); }
 };
 
-/// Solves the cavity; throws std::invalid_argument on bad options.
+/// Solves the cavity; throws std::invalid_argument on bad options (n < 8,
+/// non-finite or non-positive Re, non-finite lid velocity, tolerance not
+/// finite and > 0, max_iterations < 1). A non-finite update ends the solve
+/// with `converged` false.
 LdcSolution solve_lid_driven_cavity(const LdcOptions& options);
 
 /// Published Ghia et al. (1982) u-velocity along the vertical centerline

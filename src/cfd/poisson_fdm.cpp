@@ -20,6 +20,10 @@ PoissonFdmSolution solve_poisson_dirichlet(
     const std::function<double(double, double)>& f,
     const PoissonFdmOptions& opt) {
   if (opt.n < 8) throw std::invalid_argument("PoissonFdm: grid too small");
+  if (!std::isfinite(opt.tolerance) || opt.tolerance <= 0)
+    throw std::invalid_argument("PoissonFdm: tolerance must be finite and > 0");
+  if (opt.max_sweeps < 1)
+    throw std::invalid_argument("PoissonFdm: max_sweeps must be >= 1");
   const int n = opt.n;
   const double h = 1.0 / (n - 1);
 
@@ -35,6 +39,7 @@ PoissonFdmSolution solve_poisson_dirichlet(
 
   for (int sweep = 0; sweep < opt.max_sweeps; ++sweep) {
     double max_delta = 0.0;
+    bool finite = true;  // std::max drops a NaN, so track it separately
     for (int j = 1; j < n - 1; ++j) {
       for (int i = 1; i < n - 1; ++i) {
         const double gs = 0.25 * (sol.t(j, i + 1) + sol.t(j, i - 1) +
@@ -43,9 +48,11 @@ PoissonFdmSolution solve_poisson_dirichlet(
         const double delta = gs - sol.t(j, i);
         sol.t(j, i) += opt.relaxation * delta;
         max_delta = std::max(max_delta, std::fabs(delta));
+        finite = finite && std::isfinite(delta);
       }
     }
     sol.sweeps = sweep + 1;
+    if (!finite) break;
     if (max_delta < opt.tolerance) {
       sol.converged = true;
       break;

@@ -31,7 +31,10 @@ struct PoissonFdmSolution {
   double sample(double x, double y) const;
 };
 
-/// Solves -lap T = f with T=0 on the boundary of the unit square.
+/// Solves -lap T = f with T=0 on the boundary of the unit square. Throws
+/// std::invalid_argument on n < 8, a tolerance that is not finite and > 0,
+/// or max_sweeps < 1. A non-finite update (say, a NaN source) ends the solve
+/// with `converged` false.
 PoissonFdmSolution solve_poisson_dirichlet(
     const std::function<double(double, double)>& f,
     const PoissonFdmOptions& options = {});

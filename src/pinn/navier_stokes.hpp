@@ -76,6 +76,10 @@ class LdcProblem final : public PinnProblem {
   std::vector<ValidationEntry> validate(const nn::Mlp& net) const override;
 
   const Options& options() const { return opt_; }
+  /// The reference fields validate() compares against; may be null.
+  const std::shared_ptr<const cfd::LdcSolution>& reference() const {
+    return reference_;
+  }
 
  private:
   struct BatchTerms {

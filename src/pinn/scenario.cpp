@@ -1,6 +1,7 @@
 #include "pinn/scenario.hpp"
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "cfd/ldc_solver.hpp"
@@ -77,6 +78,10 @@ ScenarioConfig make_ldc(ScenarioScale scale) {
   ref_opt.reynolds = 10.0;
   auto reference = std::make_shared<const cfd::LdcSolution>(
       cfd::solve_lid_driven_cavity(ref_opt));
+  if (!reference->converged)
+    throw std::runtime_error(
+        cfg.name + ": reference solve did not converge in " +
+        std::to_string(reference->iterations) + " iterations");
   LdcProblem::Options popt;
   popt.reynolds = 10.0;
   popt.interior_points = s ? 1024 : 16384;

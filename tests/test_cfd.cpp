@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "cfd/analytic.hpp"
 #include "cfd/ldc_solver.hpp"
@@ -97,13 +100,107 @@ TEST(LdcSolver, StreamfunctionMinimumLocation) {
   EXPECT_NEAR(best, -0.1034, 0.015);  // Ghia's psi_min at Re=100
 }
 
+TEST(LdcSolver, MatchesPinnedRegisteredReference) {
+  // The ldc_zeroeq reference (Re = 10, n = 81) as the single-grid solve
+  // (30 psi sweeps, omega under-relaxed by 0.6, 6,304 outer iterations)
+  // computed it, at the Ghia stations. The nested solve must stay within
+  // 1e-5 of it.
+  const std::vector<std::pair<double, double>> u_at_x_half = {
+      {0.0000, 0},
+      {0.0547, -0.034233216254016298},
+      {0.0625, -0.038578768538219933},
+      {0.0703, -0.042742817426257643},
+      {0.1016, -0.058633344627191074},
+      {0.1719, -0.090467771353267862},
+      {0.2813, -0.13548564054119588},
+      {0.4531, -0.19609147765422077},
+      {0.5000, -0.20536326033476271},
+      {0.6172, -0.1888118661325964},
+      {0.7344, -0.060905024502975406},
+      {0.8516, 0.26209850541598689},
+      {0.9531, 0.73452474441850635},
+      {0.9609, 0.7771277201316531},
+      {0.9688, 0.82114748532106008},
+      {0.9766, 0.86501639662095808},
+      {1.0000, 1},
+  };
+  const std::vector<std::pair<double, double>> v_at_y_half = {
+      {0.0000, 0},
+      {0.0625, 0.093204143657518418},
+      {0.0703, 0.10237722418076417},
+      {0.0781, 0.11120654011606888},
+      {0.0938, 0.12722702213769657},
+      {0.1563, 0.1697087329124935},
+      {0.2266, 0.18025756967659118},
+      {0.2344, 0.17929073646071472},
+      {0.5000, 0.0063688495480831997},
+      {0.8047, -0.18799763607495426},
+      {0.8594, -0.17020745768692791},
+      {0.9063, -0.13279970358200247},
+      {0.9453, -0.086129309931817361},
+      {0.9531, -0.075233457176847998},
+      {0.9609, -0.063854017470798788},
+      {0.9688, -0.051722734443721254},
+      {1.0000, 0},
+  };
+  LdcOptions opt;
+  opt.n = 81;
+  opt.reynolds = 10.0;
+  const LdcSolution sol = sgm::cfd::solve_lid_driven_cavity(opt);
+  ASSERT_TRUE(sol.converged);
+  for (const auto& [y, u] : u_at_x_half)
+    EXPECT_NEAR(sol.sample_u(0.5, y), u, 1e-5) << "at y=" << y;
+  for (const auto& [x, v] : v_at_y_half)
+    EXPECT_NEAR(sol.sample_v(x, 0.5), v, 1e-5) << "at x=" << x;
+}
+
 TEST(LdcSolver, RejectsBadOptions) {
-  LdcOptions bad;
-  bad.n = 4;
-  EXPECT_THROW(sgm::cfd::solve_lid_driven_cavity(bad), std::invalid_argument);
-  bad.n = 32;
-  bad.reynolds = -1;
-  EXPECT_THROW(sgm::cfd::solve_lid_driven_cavity(bad), std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  auto rejects = [](auto mutate) {
+    LdcOptions bad;
+    bad.n = 21;
+    mutate(bad);
+    EXPECT_THROW(sgm::cfd::solve_lid_driven_cavity(bad),
+                 std::invalid_argument);
+  };
+  rejects([](LdcOptions& o) { o.n = 4; });
+  rejects([](LdcOptions& o) { o.reynolds = -1; });
+  rejects([](LdcOptions& o) { o.reynolds = 0; });
+  rejects([&](LdcOptions& o) { o.reynolds = nan; });
+  rejects([&](LdcOptions& o) { o.reynolds = inf; });
+  rejects([&](LdcOptions& o) { o.lid_velocity = nan; });
+  rejects([&](LdcOptions& o) { o.lid_velocity = -inf; });
+  rejects([&](LdcOptions& o) { o.tolerance = nan; });
+  rejects([&](LdcOptions& o) { o.tolerance = inf; });
+  rejects([](LdcOptions& o) { o.tolerance = 0; });
+  rejects([](LdcOptions& o) { o.tolerance = -1e-7; });
+  rejects([](LdcOptions& o) { o.max_iterations = 0; });
+}
+
+TEST(LdcSolver, NonFiniteUpdateEndsTheSolveUnconverged) {
+  // A finite but huge lid velocity overflows Thom's lid vorticity
+  // 2 U / h: the first vorticity update is infinite, and later ones would
+  // be NaN, which std::max reads as no change at all.
+  LdcOptions opt;
+  opt.n = 21;
+  opt.lid_velocity = 1e308;
+  const LdcSolution sol = sgm::cfd::solve_lid_driven_cavity(opt);
+  EXPECT_FALSE(sol.converged);
+  EXPECT_EQ(sol.iterations, 1);
+}
+
+TEST(LdcSolver, IterationBudgetExhaustedIsNotConverged) {
+  // n = 81 nests 21 -> 41 -> 81; each grid gets the budget, and
+  // `iterations` counts the finest grid's.
+  LdcOptions opt;
+  opt.n = 81;
+  opt.reynolds = 10.0;
+  opt.max_iterations = 5;
+  const LdcSolution sol = sgm::cfd::solve_lid_driven_cavity(opt);
+  EXPECT_FALSE(sol.converged);
+  EXPECT_EQ(sol.iterations, 5);
+  EXPECT_EQ(sol.n, 81);
 }
 
 TEST(LdcSolver, BilinearSamplingInterpolates) {

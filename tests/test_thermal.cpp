@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "cfd/analytic.hpp"
 #include "cfd/poisson_fdm.hpp"
@@ -53,6 +54,27 @@ TEST(PoissonFdm, RejectsTinyGrid) {
   EXPECT_THROW(sgm::cfd::solve_poisson_dirichlet(
                    [](double, double) { return 0.0; }, {4, 10, 1e-3, 1.5}),
                std::invalid_argument);
+}
+
+TEST(PoissonFdm, RejectsBadToleranceAndBudget) {
+  const auto zero = [](double, double) { return 0.0; };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double tol : {nan, std::numeric_limits<double>::infinity(), 0.0,
+                           -1e-9})
+    EXPECT_THROW(sgm::cfd::solve_poisson_dirichlet(zero, {17, 10, tol, 1.5}),
+                 std::invalid_argument)
+        << "tolerance " << tol;
+  EXPECT_THROW(sgm::cfd::solve_poisson_dirichlet(zero, {17, 0, 1e-9, 1.5}),
+               std::invalid_argument);
+}
+
+TEST(PoissonFdm, NanSourceIsNotConverged) {
+  // Every update is NaN; std::max would report a zero change and stop.
+  auto sol = sgm::cfd::solve_poisson_dirichlet(
+      [](double, double) { return std::numeric_limits<double>::quiet_NaN(); },
+      {17, 100, 1e-9, 1.5});
+  EXPECT_FALSE(sol.converged);
+  EXPECT_EQ(sol.sweeps, 1);
 }
 
 TEST(ChipThermal, PowerDensityRespectsFloorplan) {
