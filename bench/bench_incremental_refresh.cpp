@@ -88,7 +88,6 @@ std::size_t env_size_t(const char* name, std::size_t fallback) {
 
 struct ArmResult {
   std::string arm_name;
-  std::string er_method;
   double er_stale_ratio = 0.0;
   double dirty_fraction = 0.0;
   double full_s = 0.0;
@@ -102,22 +101,13 @@ struct ArmResult {
   }
 };
 
-core::IncrementalRefreshOptions make_options(graph::ErMethod method,
-                                             double threshold,
+core::IncrementalRefreshOptions make_options(double threshold,
                                              double er_stale_ratio,
                                              std::size_t threads) {
   core::IncrementalRefreshOptions opt;
   opt.pgm.knn.k = 10;
   opt.pgm.output_feature_weight = 0.6;
-  opt.lrd.levels = 8;
-  opt.lrd.er.method = method;  // smoothed arms run the LRD defaults
-  if (method == graph::ErMethod::kJlSolve) {
-    // Cold JL solves at 50k are ~17 s each at the defaults; a reduced
-    // budget (applied to BOTH sides of the comparison) keeps the arm
-    // CI-sized without changing the full-vs-incremental ratio story.
-    opt.lrd.er.num_vectors = 8;
-    opt.lrd.er.cg_rel_tol = 1e-5;
-  }
+  opt.lrd.levels = 8;  // smoothed ER at the LRD defaults
   opt.dirty_tolerance = 0.0;
   opt.incremental_threshold = threshold;
   opt.er_stale_ratio = er_stale_ratio;
@@ -127,7 +117,6 @@ core::IncrementalRefreshOptions make_options(graph::ErMethod method,
 
 struct ArmSpec {
   const char* name;
-  graph::ErMethod method;
   double er_stale_ratio;
 };
 
@@ -147,31 +136,22 @@ int main() {
   // show that price).
   //
   // The production configuration (scenario registry defaults) is
-  // smoothed + stale-ER amortization; the strict arms resync the embedding
-  // every refresh and show what exact-to-tolerance ER incrementality costs
-  // (converged iterative solves are near-full price for any non-trivial
-  // perturbation — that is why the amortization exists).
+  // smoothed + stale-ER amortization; the strict arm resyncs the embedding
+  // every refresh and shows what bitwise-exact ER incrementality costs.
   const ArmSpec specs[] = {
-      {"smoothed_stale", graph::ErMethod::kSmoothed, 0.25},
-      {"smoothed_strict", graph::ErMethod::kSmoothed, 0.0},
-      {"jl_strict", graph::ErMethod::kJlSolve, 0.0},
+      {"smoothed_stale", 0.25},
+      {"smoothed_strict", 0.0},
   };
   std::vector<ArmResult> arms;
 
   for (const ArmSpec& spec : specs) {
-    const bool jl = spec.method == graph::ErMethod::kJlSolve;
-    // The JL arm's cold solves make full rebuilds expensive; two rows keep
-    // the bench inside a CI-friendly budget.
-    const std::vector<double> fractions =
-        jl ? std::vector<double>{0.01, 0.10}
-           : std::vector<double>{0.01, 0.05, 0.10, 0.25, 0.50};
     int round = 0;
-    for (double fraction : fractions) {
+    for (double fraction : {0.01, 0.05, 0.10, 0.25, 0.50}) {
       ++round;
-      core::IncrementalRefreshEngine full(
-          pts, make_options(spec.method, -1.0, 0.0, threads));
+      core::IncrementalRefreshEngine full(pts,
+                                          make_options(-1.0, 0.0, threads));
       core::IncrementalRefreshEngine inc(
-          pts, make_options(spec.method, 0.30, spec.er_stale_ratio, threads));
+          pts, make_options(0.30, spec.er_stale_ratio, threads));
       tensor::Matrix out = base_outputs(pts);
       full.refresh(&out);
       inc.refresh(&out);
@@ -179,7 +159,6 @@ int main() {
 
       ArmResult arm;
       arm.arm_name = spec.name;
-      arm.er_method = jl ? "jl_solve" : "smoothed";
       arm.er_stale_ratio = spec.er_stale_ratio;
       arm.dirty_fraction = fraction;
 
@@ -217,8 +196,8 @@ int main() {
        << ",\n  \"incremental_threshold\": 0.30,\n  \"arms\": [\n";
     for (std::size_t i = 0; i < arms.size(); ++i) {
       const ArmResult& a = arms[i];
-      os << "    {\"arm\": \"" << a.arm_name << "\", \"er_method\": \""
-         << a.er_method << "\", \"er_stale_ratio\": " << a.er_stale_ratio
+      os << "    {\"arm\": \"" << a.arm_name
+         << "\", \"er_stale_ratio\": " << a.er_stale_ratio
          << ", \"dirty_fraction\": " << a.dirty_fraction
          << ", \"full_s\": " << a.full_s
          << ", \"incremental_s\": " << a.incremental_s

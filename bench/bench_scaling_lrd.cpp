@@ -1,5 +1,5 @@
 // Section 3.6 complexity claims, measured: kNN construction O(N log N)
-// (kd-tree and HNSW), effective-resistance embedding and LRD decomposition
+// (kd-tree), effective-resistance embedding and LRD decomposition
 // nearly linear in N. google-benchmark's complexity analysis reports the
 // fitted exponent.
 
@@ -7,7 +7,6 @@
 
 #include "core/pgm.hpp"
 #include "graph/effective_resistance.hpp"
-#include "graph/hnsw.hpp"
 #include "graph/knn.hpp"
 #include "graph/lrd.hpp"
 #include "util/rng.hpp"
@@ -41,23 +40,6 @@ void BM_KnnBuildKdTree(benchmark::State& state) {
   state.SetComplexityN(static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_KnnBuildKdTree)
-    ->RangeMultiplier(2)
-    ->Range(1024, 16384)
-    ->Complexity(benchmark::oNLogN)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_KnnBuildHnsw(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const tensor::Matrix pts = cloud(n);
-  graph::KnnGraphOptions opt;
-  opt.k = 10;
-  for (auto _ : state) {
-    auto g = graph::build_knn_graph_hnsw(pts, opt, {});
-    benchmark::DoNotOptimize(g.num_edges());
-  }
-  state.SetComplexityN(static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_KnnBuildHnsw)
     ->RangeMultiplier(2)
     ->Range(1024, 16384)
     ->Complexity(benchmark::oNLogN)

@@ -10,8 +10,9 @@
 # AND its incremental-refresh configuration at num_threads=1 and =4 and
 # asserts the histories are byte-identical.
 # --bench builds Release and runs the train-step benchmark, the
-# refresh-path benchmark and the serving-engine benchmark with
-# SGM_BENCH_JSON=1, leaving BENCH_train_step.json,
+# refresh-path benchmark (arms smoothed_stale and smoothed_strict: smoothed
+# ER with and without stale-ER amortization) and the serving-engine
+# benchmark with SGM_BENCH_JSON=1, leaving BENCH_train_step.json,
 # BENCH_incremental_refresh.json and BENCH_serve.json in the build dir
 # (the perf-smoke / serve-smoke CI jobs do the same; compare against
 # bench/baselines/).

@@ -93,11 +93,7 @@ IncrementalRefreshEngine::IncrementalRefreshEngine(
         }
         if (o.pgm.num_threads) o.pgm.knn.num_threads = o.pgm.num_threads;
         if (o.lrd.num_threads) o.lrd.er.num_threads = o.lrd.num_threads;
-        graph::IncrementalKnnOptions ko;
-        ko.knn = o.pgm.knn;
-        ko.use_hnsw = o.pgm.backend == KnnBackend::kHnsw;
-        ko.hnsw = o.pgm.hnsw;
-        return ko;
+        return o.pgm.knn;
       }()),
       er_(opt_.lrd.er) {}
 

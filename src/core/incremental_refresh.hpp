@@ -18,21 +18,19 @@
 //      crosses the threshold);
 //   3. when the dirty fraction exceeds incremental_threshold, falls back to
 //      a full rebuild (fresh index, every point re-queried, every ER column
-//      re-solved cold);
+//      re-swept in full);
 //   4. otherwise updates the kNN graph by point re-insertion + localized
-//      re-query (graph/incremental_knn), re-solves the effective-resistance
+//      re-query (graph/incremental_knn), re-sweeps the effective-resistance
 //      embedding only around the changed edges (graph/effective_resistance,
-//      IncrementalErEngine — warm-started PCG for kJlSolve, finite-
-//      propagation region sweeps for kSmoothed), and re-runs the cheap LRD
-//      merge on the updated (graph, embedding) pair.
+//      IncrementalErEngine — finite-propagation region sweeps for
+//      kSmoothed), and re-runs the cheap LRD merge on the updated
+//      (graph, embedding) pair.
 //
 // Equivalence contract (pinned by tests/test_incremental_refresh.cpp): with
-// dirty_tolerance = 0 and the exact kd backend, an engine taking the
-// incremental path produces the same kNN edges, ER values within the PCG
-// tolerance (bitwise for kSmoothed), and the identical clustering as an
-// engine configured to take the full-rebuild path on every refresh, fed the
-// same output stream. The HNSW backend is deterministic but approximate
-// away from the fallback path, like HNSW itself.
+// dirty_tolerance = 0, an engine taking the incremental path produces the
+// same kNN edges, bitwise-identical ER values and the identical clustering
+// as an engine configured to take the full-rebuild path on every refresh,
+// fed the same output stream.
 
 #include <cstdint>
 #include <memory>
@@ -48,7 +46,7 @@
 namespace sgm::core {
 
 struct IncrementalRefreshOptions {
-  PgmOptions pgm{};        ///< backend, kNN options, output feature weight
+  PgmOptions pgm{};        ///< kNN options, output feature weight
   graph::LrdOptions lrd{};  ///< levels, budget, ER estimator
   /// Relative per-feature drift that makes a point dirty (0 = any bitwise
   /// change; the setting under which incremental == full exactly).
@@ -74,10 +72,10 @@ struct IncrementalRefreshOptions {
   /// otherwise a skipped graph could leave this engine's pin history —
   /// and hence every later embedding — diverged from the never-stale
   /// engine's.)
-  /// 0 (default) = resync every refresh (the strict-equivalence mode);
-  /// converged-tolerance ER (PCG/Richardson) costs near-full price per
-  /// solve no matter how small the perturbation, so this amortization is
-  /// where the ER-stage speedup actually comes from.
+  /// 0 (default) = resync every refresh (the strict-equivalence mode); a
+  /// resync re-sweeps the whole 2T-hop ball around the changed edges no
+  /// matter how small the perturbation, so this amortization is where the
+  /// ER-stage speedup actually comes from.
   double er_stale_ratio = 0.0;
   /// Worker threads for the query/solve sweeps. Nonzero overrides the
   /// pgm/lrd thread counts; 0 defers to them. Byte-identical results for

@@ -49,13 +49,7 @@ graph::CsrGraph build_pgm(const Matrix& points, const Matrix* outputs,
 
   graph::KnnGraphOptions knn = options.knn;
   if (options.num_threads) knn.num_threads = options.num_threads;
-  switch (options.backend) {
-    case KnnBackend::kKdTree:
-      return graph::build_knn_graph(*metric, knn);
-    case KnnBackend::kHnsw:
-      return graph::build_knn_graph_hnsw(*metric, knn, options.hnsw);
-  }
-  throw std::logic_error("build_pgm: bad backend");
+  return graph::build_knn_graph(*metric, knn);
 }
 
 }  // namespace sgm::core

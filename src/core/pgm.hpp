@@ -7,24 +7,18 @@
 // graph can be rebuilt with model outputs appended as extra features so the
 // clustering also respects the emerging solution structure (e.g. grouping
 // points with similar velocity), which the paper mentions as the "re-built
-// ... incorporating additional features from the output" path.
+// ... incorporating additional features from the output" path. The search
+// is the exact kd-tree of graph/knn.hpp at every metric width the registered
+// scenarios reach (2 coordinates up to 3 coordinates + 3 outputs).
 
 #include "graph/csr.hpp"
-#include "graph/hnsw.hpp"
 #include "graph/knn.hpp"
 #include "tensor/matrix.hpp"
 
 namespace sgm::core {
 
-enum class KnnBackend {
-  kKdTree,  ///< exact; default at the scales this repo runs
-  kHnsw,    ///< approximate (the paper's choice for multi-million clouds)
-};
-
 struct PgmOptions {
   graph::KnnGraphOptions knn{};      ///< k, weight scheme
-  KnnBackend backend = KnnBackend::kKdTree;
-  graph::HnswOptions hnsw{};
   /// If > 0 and outputs are provided, appends standardized output features
   /// scaled by this factor to the coordinates before the kNN search.
   double output_feature_weight = 0.0;

@@ -34,7 +34,7 @@
 namespace sgm::core {
 
 struct SgmOptions {
-  PgmOptions pgm{};                 ///< S1: kNN size k, weights, backend
+  PgmOptions pgm{};                 ///< S1: kNN size k, weights
   graph::LrdOptions lrd{};          ///< S2: levels L, diameter budget
   double rep_fraction = 0.15;       ///< r: per-cluster loss-sample ratio
   std::uint64_t tau_e = 7000;       ///< score/epoch refresh period
@@ -60,9 +60,9 @@ struct SgmOptions {
   // --- Incremental refresh (core/incremental_refresh) --------------------
   /// When true, S1/S2 rebuilds run through the IncrementalRefreshEngine:
   /// only points whose output features drifted beyond dirty_tolerance are
-  /// re-inserted into the kNN graph, ER re-solves are warm-started /
-  /// localized around the changed edges, and the engine falls back to a
-  /// full rebuild when the dirty fraction exceeds incremental_threshold.
+  /// re-inserted into the kNN graph, ER re-sweeps are localized around
+  /// the changed edges, and the engine falls back to a full rebuild when
+  /// the dirty fraction exceeds incremental_threshold.
   /// Meaningful together with rebuild_output_weight > 0 and an outputs
   /// provider; with a purely spatial metric nothing ever drifts and every
   /// rebuild after the first becomes a (cheap) no-op — which is the win.

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "graph/lanczos.hpp"
-#include "graph/pcg.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -29,40 +28,6 @@ Matrix exact_embedding(const CsrGraph& g) {
     for (std::size_t r = 0; r < n; ++r)
       z(r, c) = eig.vectors(r, keep[c]) * s;
   }
-  return z;
-}
-
-// Spielman–Srivastava sketch: row u of Z is [z_1[u], ..., z_t[u]] where
-// z_i solves L z_i = B^T W^{1/2} q_i / sqrt(t) for random +-1 q_i over edges.
-Matrix jl_embedding(const CsrGraph& g, const ErOptions& opt) {
-  const std::size_t n = g.num_nodes();
-  const int t = std::max(1, opt.num_vectors);
-  util::Rng rng(opt.seed);
-  Matrix z(n, t);
-  PcgOptions pcg;
-  pcg.rel_tol = opt.cg_rel_tol;
-  pcg.max_iterations = opt.cg_max_iterations;
-  const double inv_sqrt_t = 1.0 / std::sqrt(static_cast<double>(t));
-  // Draw every sketch vector serially first — the rng stream is consumed in
-  // the same order for any thread count — then run the independent (and
-  // dominant) Laplacian solves on the pool.
-  std::vector<Vec> sketches(static_cast<std::size_t>(t), Vec(n, 0.0));
-  for (int col = 0; col < t; ++col) {
-    Vec& b = sketches[static_cast<std::size_t>(col)];
-    for (const auto& e : g.edges()) {
-      const double val = rng.rademacher() * std::sqrt(e.w) * inv_sqrt_t;
-      b[e.u] += val;
-      b[e.v] -= val;
-    }
-  }
-  util::parallel_for_chunks(
-      0, static_cast<std::size_t>(t), 1, opt.num_threads,
-      [&](std::size_t b, std::size_t e, std::size_t) {
-        for (std::size_t col = b; col < e; ++col) {
-          PcgResult sol = pcg_solve_laplacian(g, sketches[col], pcg);
-          for (std::size_t r = 0; r < n; ++r) z(r, col) = sol.x[r];
-        }
-      });
   return z;
 }
 
@@ -117,7 +82,6 @@ Matrix effective_resistance_embedding(const CsrGraph& g,
   if (g.num_nodes() == 0) return Matrix();
   switch (options.method) {
     case ErMethod::kExact: return exact_embedding(g);
-    case ErMethod::kJlSolve: return jl_embedding(g, options);
     case ErMethod::kSmoothed: return smoothed_embedding(g, options);
   }
   throw std::logic_error("effective_resistance_embedding: bad method");
@@ -153,25 +117,6 @@ double exact_effective_resistance(const CsrGraph& g, NodeId u, NodeId v) {
 // ------------------------------------------------- IncrementalErEngine ----
 
 namespace {
-
-inline std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-/// Order-independent per-edge Rademacher sign: a pure function of
-/// (seed, column, u, v), so inserting or removing other edges never shifts
-/// the signs of the survivors — the property the warm-started JL path needs.
-inline double rademacher_hash(std::uint64_t seed, int col, NodeId u,
-                              NodeId v) {
-  std::uint64_t h = splitmix64(seed);
-  h = splitmix64(h ^ static_cast<std::uint64_t>(col));
-  h = splitmix64(h ^ (static_cast<std::uint64_t>(u) << 32 |
-                      static_cast<std::uint64_t>(v)));
-  return (h >> 63) ? 1.0 : -1.0;
-}
 
 /// Depth-limited BFS from `seeds` over the union of two adjacencies.
 /// Returns the visited nodes (sorted) and, aligned, their depths.
@@ -301,51 +246,6 @@ void IncrementalErEngine::smoothed_localized(const CsrGraph& g,
       });
 }
 
-void IncrementalErEngine::jl_solve(const CsrGraph& g, bool warm_start,
-                                   ErUpdateStats* stats) {
-  const std::size_t n = g.num_nodes();
-  const int t = std::max(1, opt_.num_vectors);
-  PcgOptions pcg;
-  pcg.rel_tol = opt_.cg_rel_tol;
-  pcg.max_iterations = opt_.cg_max_iterations;
-  const double inv_sqrt_t = 1.0 / std::sqrt(static_cast<double>(t));
-  const bool warm = warm_start && z_.rows() == n &&
-                    z_.cols() == static_cast<std::size_t>(t);
-  Matrix z_new(n, static_cast<std::size_t>(t));
-  std::vector<int> col_iters(static_cast<std::size_t>(t), 0);
-  util::parallel_for_chunks(
-      0, static_cast<std::size_t>(t), 1, opt_.num_threads,
-      [&](std::size_t b, std::size_t e, std::size_t) {
-        Vec bvec(n), x0(n);
-        for (std::size_t col = b; col < e; ++col) {
-          std::fill(bvec.begin(), bvec.end(), 0.0);
-          for (const auto& edge : g.edges()) {
-            const double val =
-                rademacher_hash(opt_.seed, static_cast<int>(col), edge.u,
-                                edge.v) *
-                std::sqrt(edge.w) * inv_sqrt_t;
-            bvec[edge.u] += val;
-            bvec[edge.v] -= val;
-          }
-          const Vec* start = nullptr;
-          if (warm) {
-            for (std::size_t r = 0; r < n; ++r) x0[r] = z_(r, col);
-            start = &x0;
-          }
-          PcgResult sol = pcg_solve_laplacian(g, bvec, pcg, start);
-          for (std::size_t r = 0; r < n; ++r) z_new(r, col) = sol.x[r];
-          col_iters[col] = sol.iterations;
-        }
-      });
-  z_ = std::move(z_new);
-  if (stats) {
-    for (int it : col_iters) {
-      stats->pcg_iterations += static_cast<std::size_t>(it);
-      if (it > 0) ++stats->columns_resolved;
-    }
-  }
-}
-
 const Matrix& IncrementalErEngine::rebuild(const CsrGraph& g) {
   if (g.num_nodes() == 0) {
     z_ = Matrix();
@@ -354,9 +254,6 @@ const Matrix& IncrementalErEngine::rebuild(const CsrGraph& g) {
   switch (opt_.method) {
     case ErMethod::kExact:
       z_ = effective_resistance_embedding(g, opt_);
-      break;
-    case ErMethod::kJlSolve:
-      jl_solve(g, /*warm_start=*/false, nullptr);
       break;
     case ErMethod::kSmoothed:
       smoothed_full(g);
@@ -382,11 +279,6 @@ const Matrix& IncrementalErEngine::update(
     return rebuild(g);
   }
   if (changed_nodes.empty()) return z_;  // identical graph: nothing to do
-
-  if (opt_.method == ErMethod::kJlSolve) {
-    jl_solve(g, /*warm_start=*/true, stats);
-    return z_;
-  }
 
   // kSmoothed. A grown max degree would unpin the Richardson step size —
   // recompute everything under the new pin.

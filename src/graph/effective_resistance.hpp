@@ -8,10 +8,7 @@
 //
 // Back-ends:
 //  * kExact      — dense eigendecomposition, Z = U diag(lambda^-1/2); O(n^3),
-//                  tests and tiny graphs only.
-//  * kJlSolve    — Spielman–Srivastava: t = O(log n) random +-1 edge
-//                  combinations, each requiring one Laplacian PCG solve;
-//                  (1±eps) accurate with high probability.
+//                  the test oracle for tiny graphs.
 //  * kSmoothed   — HyperEF-style Krylov smoothing: t random vectors smoothed
 //                  by a few Jacobi iterations, orthogonalized to the constant
 //                  vector. No linear solves; nearly-linear time. This is the
@@ -27,19 +24,17 @@
 
 namespace sgm::graph {
 
-enum class ErMethod { kExact, kJlSolve, kSmoothed };
+enum class ErMethod { kExact, kSmoothed };
 
 struct ErOptions {
   ErMethod method = ErMethod::kSmoothed;
-  int num_vectors = 12;        ///< t: embedding width (kJlSolve / kSmoothed)
+  int num_vectors = 12;        ///< t: embedding width (kSmoothed)
   int smoothing_iterations = 40;  ///< Jacobi sweeps for kSmoothed
-  double cg_rel_tol = 1e-6;    ///< PCG tolerance for kJlSolve
-  int cg_max_iterations = 1000;
   std::uint64_t seed = 1234;
-  /// Worker threads for the per-column smoothing/solve work (kJlSolve /
-  /// kSmoothed; random draws stay serial so the stream is thread-count
-  /// independent). 0 = util::resolve_threads default, 1 = serial. Any value
-  /// yields byte-identical embeddings.
+  /// Worker threads for the per-column smoothing (kSmoothed; random draws
+  /// stay serial so the stream is thread-count independent). 0 =
+  /// util::resolve_threads default, 1 = serial. Any value yields
+  /// byte-identical embeddings.
   std::size_t num_threads = 0;
   /// IncrementalErEngine / kSmoothed only: when the influence region of the
   /// changed edges covers more than this fraction of the nodes, recompute
@@ -68,23 +63,13 @@ struct ErUpdateStats {
   bool full_recompute = false;    ///< every node/column was recomputed
   std::size_t changed_nodes = 0;  ///< endpoints of changed edges seen
   std::size_t region_nodes = 0;   ///< kSmoothed: nodes inside the swept ball
-  std::size_t columns_resolved = 0;  ///< kJlSolve: columns PCG iterated on
-  std::size_t pcg_iterations = 0;    ///< kJlSolve: total PCG iterations
 };
 
 /// Incrementally-maintained effective-resistance embedding — the S2 half of
 /// the incremental refresh engine.
 ///
 /// The engine keeps the previous embedding between refreshes and restricts
-/// the re-solve to what the changed edges can actually influence:
-///  * kJlSolve  — the JL sketch draws each edge's Rademacher sign from a
-///    counter-based hash of (seed, column, u, v) instead of a sequential
-///    stream, so unchanged edges keep their contribution and the sketch of
-///    a lightly-edited graph is a small perturbation. Each column's PCG is
-///    then warm-started from the cached solution; columns whose warm
-///    residual already meets cg_rel_tol * ||b|| cost zero iterations.
-///    Incremental and full results agree within the PCG tolerance (both are
-///    rel_tol-accurate solutions of the same systems).
+/// the re-sweep to what the changed edges can actually influence:
 ///  * kSmoothed — the T-sweep Richardson iteration has finite propagation
 ///    speed: a node farther than T hops (in the union of the old and new
 ///    adjacency) from every changed edge reproduces its previous value
@@ -108,9 +93,9 @@ class IncrementalErEngine {
   explicit IncrementalErEngine(ErOptions options);
 
   /// Full canonical recompute over `g`. For a fixed option set and graph
-  /// history this is deterministic; for kJlSolve/kExact it is a pure
-  /// function of `g`, for kSmoothed it also depends on the monotone pinned
-  /// step size (see above).
+  /// history this is deterministic; for kExact it is a pure function of
+  /// `g`, for kSmoothed it also depends on the monotone pinned step size
+  /// (see above).
   const tensor::Matrix& rebuild(const CsrGraph& g);
 
   /// Incremental update. `g` is the new graph, `prev` the graph this engine
@@ -136,7 +121,6 @@ class IncrementalErEngine {
   void smoothed_localized(const CsrGraph& g,
                           const std::vector<NodeId>& commit,
                           const std::vector<NodeId>& swept);
-  void jl_solve(const CsrGraph& g, bool warm_start, ErUpdateStats* stats);
   const std::vector<std::vector<double>>& cached_init(std::size_t n);
 
   ErOptions opt_;

@@ -14,14 +14,13 @@ namespace {
 constexpr std::size_t kGrain = 256;
 }
 
-IncrementalKnnGraph::IncrementalKnnGraph(IncrementalKnnOptions options)
+IncrementalKnnGraph::IncrementalKnnGraph(KnnGraphOptions options)
     : opt_(std::move(options)) {}
 
 void IncrementalKnnGraph::finalize_graph() {
   const std::size_t n = metric_.rows();
-  const double sigma =
-      knn_detail::mean_knn_distance(nn_, opt_.knn.num_threads);
-  graph_ = knn_detail::graph_from_nn(nn_, n, k_, opt_.knn, sigma);
+  const double sigma = knn_detail::mean_knn_distance(nn_, opt_.num_threads);
+  graph_ = knn_detail::graph_from_nn(nn_, n, k_, opt_, sigma);
 }
 
 const CsrGraph& IncrementalKnnGraph::rebuild(const Matrix& metric) {
@@ -31,32 +30,18 @@ const CsrGraph& IncrementalKnnGraph::rebuild(const Matrix& metric) {
     built_empty_ = true;
     nn_.clear();
     kd_.reset();
-    hnsw_.reset();
     graph_ = CsrGraph();
     return graph_;
   }
-  k_ = std::min(opt_.knn.k, n - 1);
+  k_ = std::min(opt_.k, n - 1);
   nn_.assign(n, KnnResult{});
-  if (opt_.use_hnsw) {
-    kd_.reset();
-    hnsw_ = std::make_unique<HnswIndex>(metric_, opt_.hnsw);
-    util::parallel_for_chunks(
-        0, n, kGrain, opt_.knn.num_threads,
-        [&](std::size_t b, std::size_t e, std::size_t) {
-          HnswIndex::SearchScratch scratch;
-          for (std::size_t i = b; i < e; ++i)
-            nn_[i] = hnsw_->query_point(static_cast<NodeId>(i), k_, scratch);
-        });
-  } else {
-    hnsw_.reset();
-    kd_ = std::make_unique<KdTree>(metric_);
-    util::parallel_for_chunks(
-        0, n, kGrain, opt_.knn.num_threads,
-        [&](std::size_t b, std::size_t e, std::size_t) {
-          for (std::size_t i = b; i < e; ++i)
-            nn_[i] = kd_->query_point(static_cast<NodeId>(i), k_);
-        });
-  }
+  kd_ = std::make_unique<KdTree>(metric_);
+  util::parallel_for_chunks(
+      0, n, kGrain, opt_.num_threads,
+      [&](std::size_t b, std::size_t e, std::size_t) {
+        for (std::size_t i = b; i < e; ++i)
+          nn_[i] = kd_->query_point(static_cast<NodeId>(i), k_);
+      });
   finalize_graph();
   return graph_;
 }
@@ -67,14 +52,12 @@ std::vector<NodeId> IncrementalKnnGraph::affected_points(
   std::vector<char> is_dirty(n, 0);
   for (NodeId id : ids) is_dirty[id] = 1;
 
-  // Exact existence index over the dirty points' NEW positions; this stays
-  // a kd-tree even under the HNSW backend — the affected set must never
-  // miss a point whose neighborhood could have changed.
+  // Exact existence index over the dirty points' NEW positions.
   KdTree dirty_tree(rows);
 
   std::vector<char> affected(n, 0);
   util::parallel_for_chunks(
-      0, n, kGrain, opt_.knn.num_threads,
+      0, n, kGrain, opt_.num_threads,
       [&](std::size_t b, std::size_t e, std::size_t) {
         for (std::size_t i = b; i < e; ++i) {
           if (is_dirty[i]) {
@@ -88,18 +71,10 @@ std::vector<NodeId> IncrementalKnnGraph::affected_points(
               hit = true;
               break;
             }
-          if (!hit && k_ > 0) {
-            if (nn_[i].dist2.size() < k_) {
-              // Short list (HNSW recall miss): no reliable kth radius —
-              // treat as affected whenever anything moved at all.
-              hit = true;
-            } else {
-              // (b) a dirty point's new position entered i's kth-NN ball
-              // (inclusive: ties must re-query to stay canonical).
-              hit = dirty_tree.any_within(metric_.row(i),
-                                          nn_[i].dist2.back());
-            }
-          }
+          // (b) a dirty point's new position entered i's kth-NN ball
+          // (inclusive: ties must re-query to stay canonical).
+          if (!hit && k_ > 0)
+            hit = dirty_tree.any_within(metric_.row(i), nn_[i].dist2.back());
           affected[i] = hit ? 1 : 0;
         }
       });
@@ -135,24 +110,13 @@ const CsrGraph& IncrementalKnnGraph::update(const std::vector<NodeId>& ids,
   for (std::size_t t = 0; t < ids.size(); ++t)
     for (std::size_t c = 0; c < metric_.cols(); ++c)
       metric_(ids[t], c) = rows(t, c);
-  if (opt_.use_hnsw) {
-    hnsw_->update_points(ids, rows);
-    util::parallel_for_chunks(
-        0, affected.size(), kGrain, opt_.knn.num_threads,
-        [&](std::size_t b, std::size_t e, std::size_t) {
-          HnswIndex::SearchScratch scratch;
-          for (std::size_t t = b; t < e; ++t)
-            nn_[affected[t]] = hnsw_->query_point(affected[t], k_, scratch);
-        });
-  } else {
-    kd_->update_points(ids, rows);
-    util::parallel_for_chunks(
-        0, affected.size(), kGrain, opt_.knn.num_threads,
-        [&](std::size_t b, std::size_t e, std::size_t) {
-          for (std::size_t t = b; t < e; ++t)
-            nn_[affected[t]] = kd_->query_point(affected[t], k_);
-        });
-  }
+  kd_->update_points(ids, rows);
+  util::parallel_for_chunks(
+      0, affected.size(), kGrain, opt_.num_threads,
+      [&](std::size_t b, std::size_t e, std::size_t) {
+        for (std::size_t t = b; t < e; ++t)
+          nn_[affected[t]] = kd_->query_point(affected[t], k_);
+      });
   finalize_graph();
   if (stats) {
     stats->dirty = ids.size();

@@ -14,30 +14,20 @@
 //
 // The third set is found with an exact kd-tree over just the dirty points'
 // new positions (an any-within-radius existence query per clean point).
-// For the exact kd backend this set is *provably complete*: every other
-// point's candidate multiset within its old kth-NN radius is unchanged, and
-// kNN selection breaks ties canonically on (distance, index), so splicing
-// cached results next to fresh queries reproduces the full rebuild
-// bit-for-bit. For the HNSW backend the same affected set is re-queried
-// against the in-place-mutated index (HnswIndex::update_points); the result
-// is deterministic but — like HNSW itself — approximate.
+// This set is *provably complete*: every other point's candidate multiset
+// within its old kth-NN radius is unchanged, and kNN selection breaks ties
+// canonically on (distance, index), so splicing cached results next to
+// fresh queries reproduces the full rebuild bit-for-bit.
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "graph/csr.hpp"
-#include "graph/hnsw.hpp"
 #include "graph/knn.hpp"
 #include "tensor/matrix.hpp"
 
 namespace sgm::graph {
-
-struct IncrementalKnnOptions {
-  KnnGraphOptions knn{};
-  bool use_hnsw = false;  ///< kd-tree (exact) when false
-  HnswOptions hnsw{};
-};
 
 struct KnnUpdateStats {
   std::size_t dirty = 0;      ///< points whose rows changed
@@ -46,16 +36,15 @@ struct KnnUpdateStats {
 
 class IncrementalKnnGraph {
  public:
-  explicit IncrementalKnnGraph(IncrementalKnnOptions options);
+  explicit IncrementalKnnGraph(KnnGraphOptions options);
 
   /// Full (re)build over `metric` (copied). The resulting graph is
-  /// bit-identical to build_knn_graph / build_knn_graph_hnsw over the same
-  /// matrix and options.
+  /// bit-identical to build_knn_graph over the same matrix and options.
   const CsrGraph& rebuild(const tensor::Matrix& metric);
 
   /// Moves the rows at `ids` (sorted, unique) to the rows of `rows`
-  /// (|ids| x d, aligned) and updates the graph by localized re-query; see
-  /// the file comment for the exactness contract per backend.
+  /// (|ids| x d, aligned) and updates the graph by localized re-query; the
+  /// result is bit-identical to a full rebuild (see the file comment).
   const CsrGraph& update(const std::vector<NodeId>& ids,
                          const tensor::Matrix& rows,
                          KnnUpdateStats* stats = nullptr);
@@ -70,13 +59,12 @@ class IncrementalKnnGraph {
                                       const tensor::Matrix& rows) const;
   void finalize_graph();
 
-  IncrementalKnnOptions opt_;
+  KnnGraphOptions opt_;
   std::size_t k_ = 0;
   bool built_empty_ = false;
   tensor::Matrix metric_;
   std::vector<KnnResult> nn_;
   std::unique_ptr<KdTree> kd_;
-  std::unique_ptr<HnswIndex> hnsw_;
   CsrGraph graph_;
 };
 

@@ -2,10 +2,9 @@
 // Exact k-nearest-neighbor search and kNN-graph (PGM) construction — stage
 // S1 of the SGM-PINN pipeline.
 //
-// Two exact back-ends are provided: a kd-tree (default; O(N log N) build,
-// near-O(log N) queries in the low spatial dimensions PINN point clouds
-// live in) and a brute-force scan used as the ground truth in tests. The
-// approximate HNSW back-end lives in graph/hnsw.hpp.
+// Two exact back-ends are provided: a kd-tree (the PGM's search; O(N log N)
+// build, near-O(log N) queries in the low spatial dimensions PINN point
+// clouds live in) and a brute-force scan used as the ground truth in tests.
 
 #include <cstdint>
 #include <memory>
@@ -111,9 +110,9 @@ CsrGraph build_knn_graph(const tensor::Matrix& points,
                          const KnnGraphOptions& options);
 
 /// Canonicalizes every edge to u < v, sorts by (u, v) and drops duplicate
-/// pairs, keeping one representative per pair. Shared by the kd-tree and
-/// HNSW graph builders. The block-sort/merge structure is fixed (independent
-/// of `num_threads`), so the result is byte-identical for any thread count.
+/// pairs, keeping one representative per pair. The block-sort/merge
+/// structure is fixed (independent of `num_threads`), so the result is
+/// byte-identical for any thread count.
 void symmetrize_edges(std::vector<Edge>& edges, std::size_t num_threads);
 
 namespace knn_detail {

@@ -19,12 +19,6 @@ void laplacian_apply(const CsrGraph& g, const Vec& x, Vec& y) {
   }
 }
 
-Vec laplacian_diagonal(const CsrGraph& g) {
-  Vec d(g.num_nodes());
-  for (NodeId u = 0; u < g.num_nodes(); ++u) d[u] = g.weighted_degree(u);
-  return d;
-}
-
 tensor::Matrix laplacian_dense(const CsrGraph& g) {
   const std::size_t n = g.num_nodes();
   tensor::Matrix l(n, n);

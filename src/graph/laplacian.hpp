@@ -1,7 +1,7 @@
 #pragma once
 // Graph Laplacian operators. The Laplacian is kept implicit (matrix-free):
-// L x = D x - A x computed straight off the CSR adjacency, which is all the
-// PCG solver, Lanczos and the smoothed-embedding ER estimator need.
+// L x = D x - A x computed straight off the CSR adjacency, which is all
+// Lanczos, ISR and the smoothed-embedding ER estimator need.
 
 #include <vector>
 
@@ -15,14 +15,11 @@ using Vec = std::vector<double>;
 /// y = L x for the weighted Laplacian of `g`.
 void laplacian_apply(const CsrGraph& g, const Vec& x, Vec& y);
 
-/// Diagonal of L (weighted degrees).
-Vec laplacian_diagonal(const CsrGraph& g);
-
 /// Dense Laplacian (n x n) — test/diagnostic use only.
 tensor::Matrix laplacian_dense(const CsrGraph& g);
 
 /// x_i -= mean(x): projects out the constant nullspace of a connected
-/// Laplacian. Solvers call this on right-hand sides and iterates.
+/// Laplacian. The smoothed ER estimator calls this on its random vectors.
 void deflate_constant(Vec& x);
 
 /// Euclidean inner product / norm helpers used across the solvers.

@@ -41,7 +41,12 @@ double TrainHistory::time_to_reach(const std::string& metric,
 
 Trainer::Trainer(const PinnProblem& problem, nn::Mlp& net,
                  samplers::Sampler& sampler, const TrainerOptions& options)
-    : problem_(problem), net_(net), sampler_(sampler), opt_(options) {}
+    : problem_(problem), net_(net), sampler_(sampler), opt_(options) {
+  if (opt_.batch_size == 0)
+    throw std::invalid_argument("Trainer: batch_size must be > 0");
+  if (opt_.validate_every == 0)
+    throw std::invalid_argument("Trainer: validate_every must be > 0");
+}
 
 TrainHistory Trainer::run() {
   util::Rng rng(opt_.seed);

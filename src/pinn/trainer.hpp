@@ -104,6 +104,7 @@ struct TrainHistory {
 
 class Trainer {
  public:
+  /// Throws std::invalid_argument when batch_size or validate_every is 0.
   Trainer(const PinnProblem& problem, nn::Mlp& net,
           samplers::Sampler& sampler, const TrainerOptions& options);
 

@@ -76,8 +76,6 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }
 
-double Rng::rademacher() { return (next_u64() & 1u) ? 1.0 : -1.0; }
-
 void Rng::shuffle(std::vector<std::uint32_t>& v) {
   for (std::size_t i = v.size(); i > 1; --i) {
     const std::size_t j = uniform_index(i);

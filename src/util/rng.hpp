@@ -2,7 +2,7 @@
 // Deterministic, seedable random number generation for the whole library.
 //
 // Every stochastic component in sgm-pinn (point-cloud generation, weight
-// init, mini-batch selection, JL projections, ...) takes an explicit Rng so
+// init, mini-batch selection, ER embeddings, ...) takes an explicit Rng so
 // experiments are reproducible run-to-run and arm-to-arm; the benches average
 // over seeds the same way the paper averages over 5 runs.
 
@@ -42,9 +42,6 @@ class Rng {
 
   /// Normal with given mean / stddev.
   double normal(double mean, double stddev);
-
-  /// Rademacher ±1 value (for JL sketches).
-  double rademacher();
 
   /// Fisher–Yates shuffle of an index vector.
   void shuffle(std::vector<std::uint32_t>& v);

@@ -2,9 +2,6 @@
 // Wall-clock timing used by the trainer telemetry and the benches.
 
 #include <chrono>
-#include <cstdint>
-#include <string>
-#include <unordered_map>
 
 namespace sgm::util {
 
@@ -25,46 +22,6 @@ class WallTimer {
  private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;
-};
-
-/// Accumulates named phase durations (e.g. "forward", "sampler_refresh") so
-/// overhead benches can attribute wall time to pipeline stages.
-class PhaseAccumulator {
- public:
-  /// Add `seconds` to phase `name`.
-  void add(const std::string& name, double seconds);
-
-  /// Total accumulated seconds for `name` (0 if never added).
-  double total(const std::string& name) const;
-
-  /// Number of add() calls for `name`.
-  std::uint64_t count(const std::string& name) const;
-
-  void clear();
-
-  const std::unordered_map<std::string, double>& totals() const {
-    return totals_;
-  }
-
- private:
-  std::unordered_map<std::string, double> totals_;
-  std::unordered_map<std::string, std::uint64_t> counts_;
-};
-
-/// RAII helper: times a scope and adds it to an accumulator on destruction.
-class ScopedPhase {
- public:
-  ScopedPhase(PhaseAccumulator& acc, std::string name)
-      : acc_(acc), name_(std::move(name)) {}
-  ~ScopedPhase() { acc_.add(name_, timer_.elapsed_s()); }
-
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-
- private:
-  PhaseAccumulator& acc_;
-  std::string name_;
-  WallTimer timer_;
 };
 
 }  // namespace sgm::util

@@ -62,17 +62,6 @@ TEST(Pgm, BuildsConnectedKnnGraph) {
   EXPECT_TRUE(g.is_connected());
 }
 
-TEST(Pgm, HnswBackendWorks) {
-  sgm::util::Rng rng(2);
-  const Matrix pts = random_cloud(400, rng);
-  sgm::core::PgmOptions opt;
-  opt.knn.k = 8;
-  opt.backend = sgm::core::KnnBackend::kHnsw;
-  auto g = sgm::core::build_pgm(pts, nullptr, opt);
-  EXPECT_EQ(g.num_nodes(), 400u);
-  EXPECT_GT(g.num_edges(), 400u);
-}
-
 TEST(Pgm, OutputFeaturesChangeTopology) {
   // Two spatially mixed populations with wildly different outputs should
   // separate when outputs join the metric.

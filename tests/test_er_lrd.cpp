@@ -1,9 +1,8 @@
-// Tests for effective-resistance estimation (exact / JL / smoothed) and the
+// Tests for effective-resistance estimation (exact / smoothed) and the
 // LRD decomposition invariants that make SGM-PINN's clusters meaningful.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <numeric>
 #include <tuple>
 
@@ -86,15 +85,14 @@ TEST(EffectiveResistance, ExactEqualsFosterOnTriangle) {
 // ------------------------------------- golden values, embedding back-ends --
 
 // Golden pairwise resistances on analytically solvable graphs, checked for
-// both calibrated embedding back-ends (the exact eigendecomposition and the
-// Spielman–Srivastava JL solver) rather than only against each other:
+// the calibrated embedding back-end (the exact eigendecomposition, the test
+// oracle) against closed forms:
 //   path   : R(0, j)    = j / w            (series resistors)
 //   cycle  : R(0, k)    = k (n - k) / (n w) (two parallel arcs)
 //   complete Kn : R(u,v) = 2 / (n w)        (any pair)
-// kExact must reproduce these to solver precision; kJlSolve concentrates as
-// 1/sqrt(num_vectors), so a generous fixed sketch gets a tight-but-honest
-// relative tolerance. (kSmoothed is rank-preserving only — it has no
-// calibrated golden value and keeps its ordering test below.)
+// kExact must reproduce these to solver precision. (kSmoothed is
+// rank-preserving only — it has no calibrated golden value and keeps its
+// ordering test below.)
 
 struct GoldenCase {
   const char* name;
@@ -144,68 +142,17 @@ TEST(EffectiveResistance, GoldenValuesExactEmbedding) {
   }
 }
 
-TEST(EffectiveResistance, GoldenValuesJlEmbedding) {
-  for (const auto& c : golden_cases()) {
-    ErOptions opt;
-    opt.method = ErMethod::kJlSolve;
-    opt.num_vectors = 1024;  // eps ~ 1/sqrt(t): ample for a 15% bound
-    opt.seed = 9;
-    const Matrix z = sgm::graph::effective_resistance_embedding(c.graph, opt);
-    for (const auto& [u, v, expected] : c.pairs) {
-      const double got = sgm::graph::er_from_embedding(z, u, v);
-      EXPECT_NEAR(got, expected, 0.15 * expected)
-          << c.name << " R(" << u << "," << v << ")";
-    }
-  }
-}
-
-TEST(EffectiveResistance, GoldenEdgeValuesBothMethods) {
+TEST(EffectiveResistance, GoldenEdgeValuesExactEmbedding) {
   // Per-edge readout (what LRD consumes): every path edge is a bridge with
   // R_e = 1/w_e; every cycle edge sees (n-1)/n; every Kn edge sees 2/n.
   for (const auto& c : golden_cases()) {
-    for (const ErMethod method : {ErMethod::kExact, ErMethod::kJlSolve}) {
-      ErOptions opt;
-      opt.method = method;
-      opt.num_vectors = 1024;
-      opt.seed = 9;
-      const Matrix z =
-          sgm::graph::effective_resistance_embedding(c.graph, opt);
-      const auto er = sgm::graph::edge_effective_resistance(c.graph, z);
-      const double expected = c.edge_resistance;
-      const double tol =
-          method == ErMethod::kExact ? 1e-8 : 0.15 * expected;
-      for (sgm::graph::EdgeId e = 0; e < c.graph.num_edges(); ++e)
-        EXPECT_NEAR(er[e], expected, tol) << c.name << " edge " << e;
-    }
+    ErOptions opt;
+    opt.method = ErMethod::kExact;
+    const Matrix z = sgm::graph::effective_resistance_embedding(c.graph, opt);
+    const auto er = sgm::graph::edge_effective_resistance(c.graph, z);
+    for (sgm::graph::EdgeId e = 0; e < c.graph.num_edges(); ++e)
+      EXPECT_NEAR(er[e], c.edge_resistance, 1e-8) << c.name << " edge " << e;
   }
-}
-
-// ---------------------------------------------------------- JL estimation --
-
-TEST(EffectiveResistance, JlMatchesExactOnGrid) {
-  CsrGraph g = grid_graph(6, 6);
-  ErOptions exact_opt;
-  exact_opt.method = ErMethod::kExact;
-  const Matrix z_exact = sgm::graph::effective_resistance_embedding(g, exact_opt);
-  ErOptions jl;
-  jl.method = ErMethod::kJlSolve;
-  jl.num_vectors = 64;  // generous sketch for a tight test
-  jl.seed = 5;
-  const Matrix z_jl = sgm::graph::effective_resistance_embedding(g, jl);
-
-  const auto exact = sgm::graph::edge_effective_resistance(g, z_exact);
-  const auto approx = sgm::graph::edge_effective_resistance(g, z_jl);
-  // JL concentration: per-edge error ~ 1/sqrt(num_vectors); check the mean
-  // relative error tightly and the worst edge loosely.
-  double mean_rel = 0.0, max_rel = 0.0;
-  for (std::size_t e = 0; e < exact.size(); ++e) {
-    const double rel = std::fabs(approx[e] - exact[e]) / exact[e];
-    mean_rel += rel;
-    max_rel = std::max(max_rel, rel);
-  }
-  mean_rel /= static_cast<double>(exact.size());
-  EXPECT_LT(mean_rel, 0.15);
-  EXPECT_LT(max_rel, 0.60);
 }
 
 TEST(EffectiveResistance, FosterSumCheck) {

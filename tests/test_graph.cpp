@@ -1,5 +1,5 @@
-// Unit tests for sgm::graph core — CSR assembly, Laplacian operators, the
-// PCG solver and the eigensolvers (dense Jacobi + Lanczos).
+// Unit tests for sgm::graph core — CSR assembly, Laplacian operators and
+// the eigensolvers (dense Jacobi + Lanczos).
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include "graph/csr.hpp"
 #include "graph/lanczos.hpp"
 #include "graph/laplacian.hpp"
-#include "graph/pcg.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -165,51 +164,6 @@ TEST(Laplacian, DeflateRemovesMean) {
   Vec x = {1, 2, 3, 4};
   sgm::graph::deflate_constant(x);
   EXPECT_NEAR(x[0] + x[1] + x[2] + x[3], 0.0, 1e-14);
-}
-
-// --------------------------------------------------------------------- PCG --
-
-TEST(Pcg, SolvesLaplacianSystem) {
-  sgm::util::Rng rng(3);
-  CsrGraph g = random_connected_graph(50, 60, rng);
-  Vec b(50);
-  for (auto& v : b) v = rng.normal();
-  sgm::graph::deflate_constant(b);
-  auto result = sgm::graph::pcg_solve_laplacian(g, b, {1e-10, 2000, 0.0});
-  ASSERT_TRUE(result.converged);
-  Vec lx;
-  sgm::graph::laplacian_apply(g, result.x, lx);
-  for (std::size_t i = 0; i < b.size(); ++i) EXPECT_NEAR(lx[i], b[i], 1e-7);
-}
-
-TEST(Pcg, PathGraphPotentialDrop) {
-  // Unit current injected at the ends of a unit-weight path: the potential
-  // difference end-to-end equals the effective resistance n-1.
-  const std::uint32_t n = 10;
-  CsrGraph g = path_graph(n);
-  Vec b(n, 0.0);
-  b[0] = 1.0;
-  b[n - 1] = -1.0;
-  auto result = sgm::graph::pcg_solve_laplacian(g, b, {1e-12, 2000, 0.0});
-  ASSERT_TRUE(result.converged);
-  EXPECT_NEAR(result.x[0] - result.x[n - 1], n - 1.0, 1e-8);
-}
-
-TEST(Pcg, ShiftedSolveIsNonSingular) {
-  CsrGraph g = path_graph(8);
-  Vec b(8, 1.0);  // constant RHS: only solvable with a shift
-  sgm::graph::PcgOptions opt;
-  opt.diagonal_shift = 1e-2;
-  opt.rel_tol = 1e-10;
-  auto result = sgm::graph::pcg_solve_laplacian(g, b, opt);
-  EXPECT_TRUE(result.converged);
-}
-
-TEST(Pcg, ZeroRhsShortCircuits) {
-  CsrGraph g = path_graph(5);
-  auto result = sgm::graph::pcg_solve_laplacian(g, Vec(5, 0.0));
-  EXPECT_TRUE(result.converged);
-  EXPECT_EQ(result.iterations, 0);
 }
 
 // --------------------------------------------------------------- Eigen ----

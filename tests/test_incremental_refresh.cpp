@@ -1,30 +1,20 @@
 // Equivalence / property harness for the incremental refresh engine
 // (core/incremental_refresh + graph/incremental_knn + IncrementalErEngine).
 //
-// The central property: with dirty_tolerance = 0 and the exact kd backend,
-// an engine taking the incremental path is EQUIVALENT to an engine forced
-// onto the full-rebuild path every refresh (incremental_threshold < 0), fed
-// the same output stream —
+// The central property: with dirty_tolerance = 0, an engine taking the
+// incremental path is EQUIVALENT to an engine forced onto the full-rebuild
+// path every refresh (incremental_threshold < 0), fed the same output
+// stream —
 //   * identical kNN edges after symmetrize (bitwise, including weights);
-//   * identical ER embedding for kSmoothed (bit-for-bit: the localized
-//     Richardson sweep commits only the region the full recompute could
-//     have changed), ER values within the PCG tolerance for kJlSolve (both
-//     arms are rel_tol-accurate solutions of the same hash-keyed sketch
-//     systems — see docs/TESTING.md for how the assertion tolerance derives
-//     from ErOptions::cg_rel_tol);
-//   * identical clustering and sampler distributions for a fixed seed
-//     (kSmoothed arm, where the embedding is bitwise).
+//   * identical ER embedding (bit-for-bit: the localized Richardson sweep
+//     commits only the region the full recompute could have changed);
+//   * identical clustering and sampler distributions for a fixed seed.
 // swept across dirty fractions {0%, 1%, 10%, 50%, 100%} — straddling the
 // fallback threshold so both the incremental and full-fallback paths are
-// exercised — and across both graph backends. The HNSW backend is
-// approximate away from the fallback path (the mutated index is not a fresh
-// build), so there the harness asserts determinism, thread invariance,
-// bitwise equality on the no-op/fallback fractions, and bounded edge-set
-// divergence in between.
+// exercised.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -36,7 +26,6 @@
 #include "graph/effective_resistance.hpp"
 #include "graph/incremental_knn.hpp"
 #include "graph/knn.hpp"
-#include "graph/pcg.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -44,7 +33,6 @@ namespace {
 using sgm::core::DirtyTracker;
 using sgm::core::IncrementalRefreshEngine;
 using sgm::core::IncrementalRefreshOptions;
-using sgm::core::KnnBackend;
 using sgm::core::RefreshStats;
 using sgm::graph::CsrGraph;
 using sgm::graph::ErMethod;
@@ -84,18 +72,15 @@ Matrix evolve_outputs(const Matrix& prev, double fraction, int round,
   return out;
 }
 
-IncrementalRefreshOptions engine_options(KnnBackend backend, ErMethod method,
-                                         double threshold,
+IncrementalRefreshOptions engine_options(double threshold,
                                          std::size_t threads) {
   IncrementalRefreshOptions opt;
-  opt.pgm.backend = backend;
   opt.pgm.knn.k = 8;
   opt.pgm.output_feature_weight = 0.6;
   opt.lrd.levels = 5;
-  opt.lrd.er.method = method;
+  opt.lrd.er.method = ErMethod::kSmoothed;
   opt.lrd.er.num_vectors = 8;
   opt.lrd.er.smoothing_iterations = 20;
-  opt.lrd.er.cg_rel_tol = 1e-8;
   opt.dirty_tolerance = 0.0;
   opt.incremental_threshold = threshold;
   opt.num_threads = threads;
@@ -142,34 +127,20 @@ void expect_identical_distributions(const sgm::graph::Clustering& a,
   EXPECT_EQ(epoch_a.indices, epoch_b.indices) << label;
 }
 
-double edge_overlap(const CsrGraph& a, const CsrGraph& b) {
-  std::set<std::pair<sgm::graph::NodeId, sgm::graph::NodeId>> ea, eb;
-  for (const auto& e : a.edges()) ea.insert({e.u, e.v});
-  for (const auto& e : b.edges()) eb.insert({e.u, e.v});
-  std::size_t common = 0;
-  for (const auto& e : ea) common += eb.count(e);
-  const std::size_t denom = std::max(ea.size(), eb.size());
-  return denom ? static_cast<double>(common) / static_cast<double>(denom)
-               : 1.0;
-}
-
 // -------------------------------------------------- kd-exact equivalence --
 
-class KdEquivalence
-    : public ::testing::TestWithParam<std::tuple<ErMethod, double>> {};
+class KdEquivalence : public ::testing::TestWithParam<double> {};
 
 TEST_P(KdEquivalence, IncrementalMatchesFullRebuild) {
-  const auto [method, fraction] = GetParam();
+  const double fraction = GetParam();
   const std::size_t n = 700;
   sgm::util::Rng rng(91);
   const Matrix pts = random_points(n, 2, rng);
 
   // Production threshold: 1% / 10% take the incremental path, 50% / 100%
   // the fallback; the baseline engine (threshold < 0) always rebuilds.
-  IncrementalRefreshEngine inc(
-      pts, engine_options(KnnBackend::kKdTree, method, 0.30, 1));
-  IncrementalRefreshEngine full(
-      pts, engine_options(KnnBackend::kKdTree, method, -1.0, 1));
+  IncrementalRefreshEngine inc(pts, engine_options(0.30, 1));
+  IncrementalRefreshEngine full(pts, engine_options(-1.0, 1));
 
   Matrix out = base_outputs(pts);
   auto c_inc = inc.refresh(&out);
@@ -200,40 +171,20 @@ TEST_P(KdEquivalence, IncrementalMatchesFullRebuild) {
 
     expect_identical_graphs(inc.graph(), full.graph(), label);
 
-    if (method == ErMethod::kSmoothed) {
-      // Canonical smoothing is bit-identical between the paths...
-      ASSERT_EQ(inc.embedding().rows(), full.embedding().rows()) << label;
-      ASSERT_EQ(inc.embedding().cols(), full.embedding().cols()) << label;
-      for (std::size_t i = 0; i < inc.embedding().size(); ++i)
-        ASSERT_EQ(inc.embedding().data()[i], full.embedding().data()[i])
-            << label << " embedding entry " << i;
-      // ...hence so are the clustering and everything the sampler sees.
-      expect_identical_clustering(c_inc, c_full, label);
-      expect_identical_distributions(c_inc, c_full, label);
-    } else {
-      // kJlSolve: both arms solve the same hash-keyed sketch systems to
-      // cg_rel_tol; per-edge ER must agree within the solver tolerance
-      // (assertion bound: 1e4 * cg_rel_tol relative, calibrated with wide
-      // margin — see docs/TESTING.md).
-      const auto er_inc = sgm::graph::edge_effective_resistance(
-          inc.graph(), inc.embedding(), 1);
-      const auto er_full = sgm::graph::edge_effective_resistance(
-          full.graph(), full.embedding(), 1);
-      ASSERT_EQ(er_inc.size(), er_full.size()) << label;
-      const double tol = 1e4 * 1e-8;
-      for (std::size_t e = 0; e < er_inc.size(); ++e)
-        EXPECT_NEAR(er_inc[e], er_full[e],
-                    tol * std::max(1.0, std::fabs(er_full[e])))
-            << label << " edge " << e;
-    }
+    // Canonical smoothing is bit-identical between the paths...
+    ASSERT_EQ(inc.embedding().rows(), full.embedding().rows()) << label;
+    ASSERT_EQ(inc.embedding().cols(), full.embedding().cols()) << label;
+    for (std::size_t i = 0; i < inc.embedding().size(); ++i)
+      ASSERT_EQ(inc.embedding().data()[i], full.embedding().data()[i])
+          << label << " embedding entry " << i;
+    // ...hence so are the clustering and everything the sampler sees.
+    expect_identical_clustering(c_inc, c_full, label);
+    expect_identical_distributions(c_inc, c_full, label);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, KdEquivalence,
-    ::testing::Combine(::testing::Values(ErMethod::kSmoothed,
-                                         ErMethod::kJlSolve),
-                       ::testing::Values(0.0, 0.01, 0.10, 0.50, 1.0)));
+INSTANTIATE_TEST_SUITE_P(Sweep, KdEquivalence,
+                         ::testing::Values(0.0, 0.01, 0.10, 0.50, 1.0));
 
 // ------------------------------------------------- thread invariance ------
 
@@ -242,9 +193,7 @@ TEST(IncrementalRefresh, ByteIdenticalAtOneAndFourThreads) {
   sgm::util::Rng rng(17);
   const Matrix pts = random_points(n, 2, rng);
   auto run = [&](std::size_t threads) {
-    IncrementalRefreshEngine eng(
-        pts, engine_options(KnnBackend::kKdTree, ErMethod::kSmoothed, 0.30,
-                            threads));
+    IncrementalRefreshEngine eng(pts, engine_options(0.30, threads));
     Matrix out = base_outputs(pts);
     eng.refresh(&out);
     std::vector<sgm::graph::Clustering> results;
@@ -265,66 +214,13 @@ TEST(IncrementalRefresh, ByteIdenticalAtOneAndFourThreads) {
     ASSERT_EQ(z1.data()[i], z4.data()[i]) << "embedding entry " << i;
 }
 
-// ---------------------------------------------------- HNSW backend --------
-
-TEST(IncrementalRefresh, HnswDeterministicAndBoundedDivergence) {
-  const std::size_t n = 800;
-  sgm::util::Rng rng(23);
-  const Matrix pts = random_points(n, 2, rng);
-  auto make = [&](double threshold, std::size_t threads) {
-    return IncrementalRefreshEngine(
-        pts, engine_options(KnnBackend::kHnsw, ErMethod::kSmoothed, threshold,
-                            threads));
-  };
-  IncrementalRefreshEngine inc1 = make(0.30, 1);
-  IncrementalRefreshEngine inc4 = make(0.30, 4);
-  IncrementalRefreshEngine full = make(-1.0, 1);
-
-  Matrix out = base_outputs(pts);
-  inc1.refresh(&out);
-  inc4.refresh(&out);
-  full.refresh(&out);
-  expect_identical_graphs(inc1.graph(), full.graph(), "hnsw initial");
-
-  // 0% dirty: the incremental no-op must match the full rebuild bitwise
-  // (unchanged metric => the fresh index is rebuilt identically).
-  RefreshStats si, sf;
-  auto ci = inc1.refresh(&out, &si);
-  auto cf = full.refresh(&out, &sf);
-  EXPECT_EQ(si.dirty_points, 0u);
-  expect_identical_graphs(inc1.graph(), full.graph(), "hnsw 0% dirty");
-  expect_identical_clustering(ci, cf, "hnsw 0% dirty");
-
-  // 10% dirty: deterministic (1 vs 4 threads bitwise) and close to the
-  // fresh build (the mutated index trades a little recall).
-  out = evolve_outputs(out, 0.10, 1, 999);
-  ci = inc1.refresh(&out, &si);
-  auto ci4 = inc4.refresh(&out);
-  cf = full.refresh(&out, &sf);
-  EXPECT_FALSE(si.full_rebuild);
-  EXPECT_TRUE(sf.full_rebuild);
-  expect_identical_graphs(inc1.graph(), inc4.graph(), "hnsw 10% threads");
-  expect_identical_clustering(ci, ci4, "hnsw 10% threads");
-  EXPECT_GE(edge_overlap(inc1.graph(), full.graph()), 0.9)
-      << "mutated-index graph drifted too far from the fresh build";
-
-  // 100% dirty: fallback => fresh index in both engines, bitwise equal
-  // again (and the incremental engine resynchronizes its state).
-  out = evolve_outputs(out, 1.0, 2, 999);
-  ci = inc1.refresh(&out, &si);
-  cf = full.refresh(&out, &sf);
-  EXPECT_TRUE(si.full_rebuild);
-  expect_identical_graphs(inc1.graph(), full.graph(), "hnsw fallback");
-  expect_identical_clustering(ci, cf, "hnsw fallback");
-}
-
 // ---------------------------------------------- sub-threshold deferral ----
 
 TEST(IncrementalRefresh, SubToleranceDriftIsDeferredUntilItAccumulates) {
   const std::size_t n = 300;
   sgm::util::Rng rng(31);
   const Matrix pts = random_points(n, 2, rng);
-  auto opt = engine_options(KnnBackend::kKdTree, ErMethod::kSmoothed, 0.9, 1);
+  auto opt = engine_options(0.9, 1);
   opt.dirty_tolerance = 0.05;  // relative to the output feature scale
   IncrementalRefreshEngine eng(pts, opt);
   Matrix out = base_outputs(pts);
@@ -351,7 +247,7 @@ TEST(IncrementalRefresh, StaleErReusesEmbeddingThenResyncsExactly) {
   const std::size_t n = 500;
   sgm::util::Rng rng(37);
   const Matrix pts = random_points(n, 2, rng);
-  auto opt = engine_options(KnnBackend::kKdTree, ErMethod::kSmoothed, 0.9, 1);
+  auto opt = engine_options(0.9, 1);
   opt.er_stale_ratio = 0.30;
   IncrementalRefreshEngine eng(pts, opt);
   auto strict_opt = opt;
@@ -486,57 +382,6 @@ TEST(DirtyTracker, StreamObservationDrivesDirtyFraction) {
   EXPECT_DOUBLE_EQ(t.dirty_fraction(), 0.0);
   t.observe({0}, {1.5});  // settled reference is the last observed value
   EXPECT_FALSE(t.is_dirty(0));
-}
-
-// -------------------------------------------------- PCG warm start --------
-
-TEST(PcgWarmStart, ExactStartConvergesInZeroIterations) {
-  sgm::util::Rng rng(47);
-  const Matrix pts = random_points(200, 2, rng);
-  sgm::graph::KnnGraphOptions ko;
-  ko.k = 6;
-  const CsrGraph g = sgm::graph::build_knn_graph(pts, ko);
-  sgm::graph::Vec b(g.num_nodes());
-  for (auto& v : b) v = rng.uniform(-1.0, 1.0);
-  sgm::graph::deflate_constant(b);
-
-  sgm::graph::PcgOptions opt;
-  opt.rel_tol = 1e-8;
-  const auto cold = sgm::graph::pcg_solve_laplacian(g, b, opt);
-  ASSERT_TRUE(cold.converged);
-  ASSERT_GT(cold.iterations, 0);
-
-  const auto warm = sgm::graph::pcg_solve_laplacian(g, b, opt, &cold.x);
-  EXPECT_TRUE(warm.converged);
-  EXPECT_EQ(warm.iterations, 0);
-}
-
-TEST(PcgWarmStart, NearbyStartConvergesFasterToTheSameSolution) {
-  sgm::util::Rng rng(53);
-  const Matrix pts = random_points(300, 2, rng);
-  sgm::graph::KnnGraphOptions ko;
-  ko.k = 6;
-  const CsrGraph g = sgm::graph::build_knn_graph(pts, ko);
-  sgm::graph::Vec b(g.num_nodes());
-  for (auto& v : b) v = rng.uniform(-1.0, 1.0);
-  sgm::graph::deflate_constant(b);
-
-  sgm::graph::PcgOptions opt;
-  opt.rel_tol = 1e-10;
-  const auto cold = sgm::graph::pcg_solve_laplacian(g, b, opt);
-  ASSERT_TRUE(cold.converged);
-
-  sgm::graph::Vec x0 = cold.x;
-  for (auto& v : x0) v += 1e-6 * rng.uniform(-1.0, 1.0);
-  const auto warm = sgm::graph::pcg_solve_laplacian(g, b, opt, &x0);
-  ASSERT_TRUE(warm.converged);
-  EXPECT_LT(warm.iterations, cold.iterations);
-  double diff = 0.0, norm = 0.0;
-  for (std::size_t i = 0; i < cold.x.size(); ++i) {
-    diff += (warm.x[i] - cold.x[i]) * (warm.x[i] - cold.x[i]);
-    norm += cold.x[i] * cold.x[i];
-  }
-  EXPECT_LT(std::sqrt(diff), 1e-6 * std::sqrt(norm) + 1e-9);
 }
 
 // -------------------------------------- localized smoothed-ER updates ----

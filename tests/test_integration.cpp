@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "core/sgm_sampler.hpp"
@@ -100,6 +101,30 @@ TEST(Integration, PoissonMisTrains) {
   auto history = trainer.run();
   EXPECT_LT(history.best_error("u"), 0.35);
   EXPECT_GT(history.sampler_loss_evaluations, 0u);
+}
+
+TEST(Integration, TrainerRejectsZeroBatchSizeAndValidateEvery) {
+  sgm::pinn::PoissonProblem::Options popt;
+  popt.interior_points = 256;
+  sgm::pinn::PoissonProblem problem(popt);
+  Mlp net = make_net(2, 1, 5, 8, 2);
+  sgm::samplers::UniformSampler sampler(256);
+  auto expect_rejected = [&](const sgm::pinn::TrainerOptions& topt,
+                             const std::string& field) {
+    try {
+      sgm::pinn::Trainer trainer(problem, net, sampler, topt);
+      ADD_FAILURE() << field << " = 0 was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  auto topt = fast_trainer(5);
+  topt.validate_every = 0;  // Trainer::run takes it % validate_every
+  expect_rejected(topt, "validate_every");
+  topt = fast_trainer(5);
+  topt.batch_size = 0;
+  expect_rejected(topt, "batch_size");
 }
 
 TEST(Integration, TrainerWallBudgetStopsEarly) {
@@ -262,8 +287,8 @@ TEST(Integration, TrainerHistoryDeterministicUnderAsyncRebuild) {
 TEST(Integration, TrainerHistoryDeterministicUnderAsyncIncrementalRefresh) {
   // The incremental refresh engine threaded through the async rebuild path:
   // the engine's state is owned by the worker between launch and the next
-  // barrier, refresh outcomes (dirty detection, kNN update, warm-started
-  // ER, cadence signal) are pure functions of the iteration schedule, so
+  // barrier, refresh outcomes (dirty detection, kNN update, localized ER,
+  // cadence signal) are pure functions of the iteration schedule, so
   // same-seed histories must still be identical — including the
   // dirty-fraction-modulated rebuild cadence.
   sgm::pinn::PoissonProblem::Options popt;

@@ -1,15 +1,11 @@
-// Tests for exact kNN (kd-tree vs brute force), the HNSW approximate index
-// (recall against exact), and kNN PGM graph construction (S1).
+// Tests for exact kNN (kd-tree vs brute force) and kNN PGM graph
+// construction (S1).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
-#include <set>
-#include <thread>
 
-#include "graph/hnsw.hpp"
 #include "graph/knn.hpp"
 #include "util/rng.hpp"
 
@@ -53,7 +49,10 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, KdTreeVsBrute,
     ::testing::Values(std::make_tuple(50, 2, 5), std::make_tuple(500, 2, 10),
                       std::make_tuple(500, 3, 7), std::make_tuple(200, 4, 3),
-                      std::make_tuple(64, 1, 4), std::make_tuple(1000, 2, 1)));
+                      std::make_tuple(64, 1, 4), std::make_tuple(1000, 2, 1),
+                      // The widest PGM metric: 3 inputs + 3 output features.
+                      std::make_tuple(1000, 5, 10),
+                      std::make_tuple(2000, 6, 20)));
 
 TEST(KdTree, QueryArbitraryPoint) {
   sgm::util::Rng rng(3);
@@ -141,115 +140,9 @@ TEST(KnnGraph, GaussWeightsInUnitInterval) {
   }
 }
 
-// ---------------------------------------------------------------- HNSW ----
-
-TEST(Hnsw, HighRecallOnUniformCloud) {
-  sgm::util::Rng rng(8);
-  const std::size_t n = 2000, k = 10;
-  const Matrix pts = random_points(n, 2, rng);
-  sgm::graph::HnswOptions hopt;
-  hopt.ef_search = 96;
-  sgm::graph::HnswIndex index(pts, hopt);
-
-  std::size_t hit = 0, total = 0;
-  for (int probe = 0; probe < 50; ++probe) {
-    const auto i = static_cast<sgm::graph::NodeId>(rng.uniform_index(n));
-    auto approx = index.query_point(i, k);
-    auto exact = sgm::graph::knn_brute_force(pts, pts.row(i), k,
-                                             static_cast<std::int64_t>(i));
-    std::set<sgm::graph::NodeId> truth(exact.index.begin(),
-                                       exact.index.end());
-    for (auto idx : approx.index) hit += truth.count(idx);
-    total += k;
-  }
-  const double recall = static_cast<double>(hit) / total;
-  EXPECT_GT(recall, 0.9) << "HNSW recall " << recall;
-}
-
-TEST(Hnsw, QueryExcludesSelf) {
-  sgm::util::Rng rng(9);
-  const Matrix pts = random_points(300, 2, rng);
-  sgm::graph::HnswIndex index(pts, {});
-  for (int probe = 0; probe < 20; ++probe) {
-    const auto i =
-        static_cast<sgm::graph::NodeId>(rng.uniform_index(pts.rows()));
-    auto r = index.query_point(i, 5);
-    for (auto idx : r.index) EXPECT_NE(idx, i);
-  }
-}
-
-TEST(Hnsw, GraphConstructionConnectsCloud) {
-  sgm::util::Rng rng(10);
-  const Matrix pts = random_points(500, 2, rng);
-  KnnGraphOptions gopt;
-  gopt.k = 8;
-  const CsrGraph g = sgm::graph::build_knn_graph_hnsw(pts, gopt, {});
-  EXPECT_EQ(g.num_nodes(), 500u);
-  EXPECT_TRUE(g.is_connected());
-}
-
-TEST(Hnsw, ConcurrentQueriesMatchSerial) {
-  // Queries carry their visit tracking in caller-owned scratch, so a shared
-  // const index must give concurrent callers exactly the serial answers.
-  // (Run under -DSGM_TSAN=ON this also proves the old mutable-member race
-  // is gone.)
-  sgm::util::Rng rng(12);
-  const std::size_t n = 800, k = 6;
-  const Matrix pts = random_points(n, 2, rng);
-  const sgm::graph::HnswIndex index(pts, {});
-
-  std::vector<KnnResult> serial(n);
-  for (std::size_t i = 0; i < n; ++i)
-    serial[i] = index.query_point(static_cast<sgm::graph::NodeId>(i), k);
-
-  constexpr std::size_t kThreads = 4;
-  std::vector<KnnResult> concurrent(n);
-  std::vector<std::thread> workers;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&, t]() {
-      sgm::graph::HnswIndex::SearchScratch scratch;
-      for (std::size_t i = t; i < n; i += kThreads)
-        concurrent[i] =
-            index.query_point(static_cast<sgm::graph::NodeId>(i), k, scratch);
-    });
-  }
-  for (auto& w : workers) w.join();
-
-  for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(serial[i].index.size(), concurrent[i].index.size());
-    EXPECT_EQ(serial[i].index, concurrent[i].index) << "point " << i;
-    for (std::size_t j = 0; j < serial[i].dist2.size(); ++j)
-      EXPECT_EQ(serial[i].dist2[j], concurrent[i].dist2[j]);
-  }
-}
-
-TEST(Hnsw, ResultsSortedByDistance) {
-  sgm::util::Rng rng(11);
-  const Matrix pts = random_points(400, 3, rng);
-  sgm::graph::HnswIndex index(pts, {});
-  auto r = index.query(pts.row(7), 8);
-  EXPECT_TRUE(std::is_sorted(r.dist2.begin(), r.dist2.end()));
-}
-
 // ------------------------------------------------- update_points ----------
 
 namespace {
-
-/// Recall of `index` against brute force over `pts` on a fixed query set.
-double static_query_recall(const sgm::graph::HnswIndex& index,
-                           const Matrix& pts, const Matrix& queries,
-                           std::size_t k) {
-  std::size_t hit = 0, total = 0;
-  for (std::size_t q = 0; q < queries.rows(); ++q) {
-    auto approx = index.query(queries.row(q), k);
-    auto exact = sgm::graph::knn_brute_force(pts, queries.row(q), k);
-    std::set<sgm::graph::NodeId> truth(exact.index.begin(),
-                                       exact.index.end());
-    for (auto idx : approx.index) hit += truth.count(idx);
-    total += k;
-  }
-  return static_cast<double>(hit) / static_cast<double>(total);
-}
 
 /// Moves `fraction` of the points to fresh uniform positions; returns the
 /// moved ids (sorted) and their new rows.
@@ -270,150 +163,6 @@ std::pair<std::vector<sgm::graph::NodeId>, Matrix> move_points(
 }
 
 }  // namespace
-
-TEST(HnswUpdate, RecallWithinTwoPointsOfFreshBuild) {
-  // The insert/delete contract of the incremental refresh engine: after
-  // moving 10% of the points, the mutated index's recall on a static query
-  // set may trail a from-scratch build by at most 2 points.
-  sgm::util::Rng rng(101);
-  const std::size_t n = 2000, k = 10;
-  Matrix pts = random_points(n, 2, rng);
-  sgm::graph::HnswOptions hopt;
-  hopt.ef_search = 96;
-  sgm::graph::HnswIndex index(pts, hopt);
-
-  const Matrix queries = random_points(64, 2, rng);
-  auto [ids, rows] = move_points(pts, 0.10, rng);
-  index.update_points(ids, rows);
-  sgm::graph::HnswIndex fresh(pts, hopt);
-
-  const double recall_updated = static_query_recall(index, pts, queries, k);
-  const double recall_fresh = static_query_recall(fresh, pts, queries, k);
-  EXPECT_GE(recall_updated, recall_fresh - 0.02)
-      << "updated " << recall_updated << " vs fresh " << recall_fresh;
-  EXPECT_GT(recall_updated, 0.85);
-}
-
-TEST(HnswUpdate, RepeatedUpdatesKeepRecall) {
-  // Churn the index across several refresh rounds: unlink damage must heal
-  // through re-insertion back-links instead of accumulating.
-  sgm::util::Rng rng(103);
-  const std::size_t n = 1200, k = 8;
-  Matrix pts = random_points(n, 2, rng);
-  sgm::graph::HnswOptions hopt;
-  hopt.ef_search = 96;
-  sgm::graph::HnswIndex index(pts, hopt);
-  const Matrix queries = random_points(48, 2, rng);
-  for (int round = 0; round < 5; ++round) {
-    auto [ids, rows] = move_points(pts, 0.05, rng);
-    index.update_points(ids, rows);
-  }
-  sgm::graph::HnswIndex fresh(pts, hopt);
-  const double recall_updated = static_query_recall(index, pts, queries, k);
-  const double recall_fresh = static_query_recall(fresh, pts, queries, k);
-  EXPECT_GE(recall_updated, recall_fresh - 0.02)
-      << "updated " << recall_updated << " vs fresh " << recall_fresh;
-}
-
-TEST(HnswUpdate, SelfExclusionAndDeterminismAfterUpdate) {
-  sgm::util::Rng rng(107);
-  Matrix pts = random_points(500, 2, rng);
-  sgm::graph::HnswIndex a(pts, {});
-  sgm::graph::HnswIndex b(pts, {});
-  auto [ids, rows] = move_points(pts, 0.2, rng);
-  a.update_points(ids, rows);
-  b.update_points(ids, rows);
-  for (int probe = 0; probe < 20; ++probe) {
-    const auto i =
-        static_cast<sgm::graph::NodeId>(rng.uniform_index(pts.rows()));
-    auto ra = a.query_point(i, 5);
-    auto rb = b.query_point(i, 5);
-    for (auto idx : ra.index) EXPECT_NE(idx, i);
-    EXPECT_EQ(ra.index, rb.index) << "update_points must be deterministic";
-  }
-}
-
-TEST(HnswUpdate, SurvivesDirtySetContainingEveryTopLevelNode) {
-  // When the dirty set contains every top-level node, the stand-in entry
-  // point sits below max_level and can surface as a search candidate at
-  // layers above its own level; connect() must skip it rather than index
-  // past its adjacency (regression: out-of-bounds write). Sweeping the
-  // single point that stays clean guarantees some sweep iteration detaches
-  // all top-level nodes regardless of the level assignment.
-  sgm::util::Rng rng(211);
-  const std::size_t n = 60;
-  const Matrix pts = random_points(n, 2, rng);
-  for (std::size_t keep = 0; keep < n; ++keep) {
-    sgm::graph::HnswIndex index(pts, {});
-    std::vector<sgm::graph::NodeId> ids;
-    Matrix rows(n - 1, 2);
-    std::size_t t = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i == keep) continue;
-      ids.push_back(static_cast<sgm::graph::NodeId>(i));
-      rows(t, 0) = rng.uniform();
-      rows(t, 1) = rng.uniform();
-      ++t;
-    }
-    index.update_points(ids, rows);
-    auto r = index.query_point(static_cast<sgm::graph::NodeId>(keep), 4);
-    EXPECT_EQ(r.index.size(), 4u) << "keep " << keep;
-  }
-}
-
-TEST(HnswUpdate, AllPointsDirtyRebuildsAtPreservedLevels) {
-  sgm::util::Rng rng(109);
-  Matrix pts = random_points(300, 2, rng);
-  sgm::graph::HnswIndex index(pts, {});
-  std::vector<sgm::graph::NodeId> all(pts.rows());
-  std::iota(all.begin(), all.end(), sgm::graph::NodeId{0});
-  Matrix rows = random_points(pts.rows(), 2, rng);
-  index.update_points(all, rows);
-  // Every point findable and self-excluded after the full re-insertion.
-  for (int probe = 0; probe < 20; ++probe) {
-    const auto i =
-        static_cast<sgm::graph::NodeId>(rng.uniform_index(rows.rows()));
-    auto r = index.query_point(i, 4);
-    EXPECT_EQ(r.index.size(), 4u);
-    for (auto idx : r.index) EXPECT_NE(idx, i);
-  }
-}
-
-TEST(HnswUpdate, ConcurrentConstQueriesMatchSerialOnMutatedIndex) {
-  // The PR 2 race-freedom contract re-run against an index that has been
-  // through update_points: queries still share no mutable state.
-  sgm::util::Rng rng(113);
-  const std::size_t n = 800, k = 6;
-  Matrix pts = random_points(n, 2, rng);
-  sgm::graph::HnswIndex mutated(pts, {});
-  auto [ids, rows] = move_points(pts, 0.15, rng);
-  mutated.update_points(ids, rows);
-  const sgm::graph::HnswIndex& index = mutated;
-
-  std::vector<KnnResult> serial(n);
-  for (std::size_t i = 0; i < n; ++i)
-    serial[i] = index.query_point(static_cast<sgm::graph::NodeId>(i), k);
-
-  constexpr std::size_t kThreads = 4;
-  std::vector<KnnResult> concurrent(n);
-  std::vector<std::thread> workers;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&, t]() {
-      sgm::graph::HnswIndex::SearchScratch scratch;
-      for (std::size_t i = t; i < n; i += kThreads)
-        concurrent[i] =
-            index.query_point(static_cast<sgm::graph::NodeId>(i), k, scratch);
-    });
-  }
-  for (auto& w : workers) w.join();
-
-  for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(serial[i].index.size(), concurrent[i].index.size());
-    EXPECT_EQ(serial[i].index, concurrent[i].index) << "point " << i;
-    for (std::size_t j = 0; j < serial[i].dist2.size(); ++j)
-      EXPECT_EQ(serial[i].dist2[j], concurrent[i].dist2[j]);
-  }
-}
 
 TEST(KdTreeUpdate, MatchesFreshBuildExactly) {
   // kd update_points keeps queries exact: identical (canonical) results to

@@ -1,6 +1,6 @@
-// Tests for the baseline samplers: alias tables, epoch dealing, uniform,
-// MIS (loss-proportional) and RAR — plus the cross-sampler batch contract
-// (exactly batch_size in-range rows) and the PGM-edge exclusion property.
+// Tests for the baseline samplers: alias tables, epoch dealing, uniform and
+// MIS (loss-proportional) — plus the cross-sampler batch contract (exactly
+// batch_size in-range rows) and the PGM-edge exclusion property.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "core/pgm.hpp"
 #include "core/sgm_sampler.hpp"
 #include "samplers/mis.hpp"
-#include "samplers/rar.hpp"
 #include "samplers/sampler.hpp"
 #include "samplers/uniform.hpp"
 #include "util/rng.hpp"
@@ -180,40 +179,6 @@ TEST(MisSampler, UniformFloorKeepsAllReachable) {
     EXPECT_GE(s.probability(i), 0.1 / 10 - 1e-12);
 }
 
-// ----------------------------------------------------------------- RAR ----
-
-TEST(RarSampler, GrowsActiveSetByResidual) {
-  sgm::util::Rng rng(11);
-  sgm::samplers::RarOptions opt;
-  opt.initial_points = 16;
-  opt.added_per_refresh = 8;
-  opt.candidate_pool = 64;
-  opt.refresh_every = 10;
-  sgm::samplers::RarSampler s(256, opt, rng);
-  EXPECT_EQ(s.active_size(), 16u);
-  auto eval = [](const std::vector<std::uint32_t>& rows) {
-    std::vector<double> loss(rows.size());
-    for (std::size_t i = 0; i < rows.size(); ++i)
-      loss[i] = static_cast<double>(rows[i]);  // higher index = higher loss
-    return loss;
-  };
-  s.maybe_refresh(10, eval, rng);
-  EXPECT_EQ(s.active_size(), 24u);
-  s.maybe_refresh(20, eval, rng);
-  EXPECT_EQ(s.active_size(), 32u);
-}
-
-TEST(RarSampler, BatchesComeFromActiveSet) {
-  sgm::util::Rng rng(12);
-  sgm::samplers::RarOptions opt;
-  opt.initial_points = 8;
-  sgm::samplers::RarSampler s(100, opt, rng);
-  auto batch = s.next_batch(32, rng);
-  // All batch elements must be among the 8 active points.
-  std::set<std::uint32_t> uniq(batch.begin(), batch.end());
-  EXPECT_LE(uniq.size(), 8u);
-}
-
 // ----------------------------------------------- cross-sampler contract ----
 
 // Every Sampler must hand the trainer exactly `batch_size` rows, each a
@@ -257,13 +222,6 @@ TEST(SamplerContract, EverySamplerReturnsExactlyBatchSizeInRangeRows) {
   check_batch_contract(mis, n, rng);  // pre-refresh (uniform path)
   mis.maybe_refresh(0, eval, rng);
   check_batch_contract(mis, n, rng);  // post-refresh (alias path)
-
-  sgm::samplers::RarOptions ropt;
-  ropt.initial_points = 16;
-  ropt.refresh_every = 1;
-  sgm::samplers::RarSampler rar(n, ropt, rng);
-  rar.maybe_refresh(1, eval, rng);
-  check_batch_contract(rar, n, rng);
 
   sgm::core::SgmOptions sopt;
   sopt.pgm.knn.k = 6;
@@ -329,33 +287,6 @@ TEST(MisSampler, ExclusionGraphThrowsWhenNoIndependentBatchExists) {
   sgm::util::Rng rng(33);
   EXPECT_EQ(s.next_batch(1, rng).size(), 1u);
   EXPECT_THROW(s.next_batch(2, rng), std::runtime_error);
-}
-
-// --------------------------------------------- RAR growth invariants ----
-
-TEST(RarSampler, ActiveSetGrowsMonotonicallyAndNeverExceedsUniverse) {
-  const std::uint32_t n = 300;
-  sgm::util::Rng rng(41);
-  sgm::samplers::RarOptions opt;
-  opt.initial_points = 32;
-  opt.added_per_refresh = 64;
-  opt.candidate_pool = 128;
-  opt.refresh_every = 1;
-  sgm::samplers::RarSampler s(n, opt, rng);
-  auto eval = [](const std::vector<std::uint32_t>& rows) {
-    return std::vector<double>(rows.size(), 1.0);
-  };
-  std::size_t previous = s.active_size();
-  EXPECT_LE(previous, static_cast<std::size_t>(n));
-  // Far more refreshes than needed to saturate: growth must be monotone and
-  // capped at the universe the whole way.
-  for (std::uint64_t it = 1; it <= 20; ++it) {
-    s.maybe_refresh(it, eval, rng);
-    EXPECT_GE(s.active_size(), previous);
-    EXPECT_LE(s.active_size(), static_cast<std::size_t>(n));
-    previous = s.active_size();
-  }
-  EXPECT_EQ(s.active_size(), static_cast<std::size_t>(n));  // saturated
 }
 
 }  // namespace

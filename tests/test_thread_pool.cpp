@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/pgm.hpp"
-#include "graph/hnsw.hpp"
 #include "graph/knn.hpp"
 #include "graph/lrd.hpp"
 #include "util/rng.hpp"
@@ -161,21 +160,6 @@ TEST(ParallelRefresh, MutualPgmByteIdenticalAcrossThreadCounts) {
   expect_identical_graphs(serial, sgm::graph::build_knn_graph(pts, opt));
 }
 
-TEST(ParallelRefresh, HnswPgmByteIdenticalAcrossThreadCounts) {
-  sgm::util::Rng rng(23);
-  const Matrix pts = random_points(1200, 2, rng);
-  sgm::graph::KnnGraphOptions gopt;
-  gopt.k = 8;
-  sgm::graph::HnswOptions hopt;
-  gopt.num_threads = 1;
-  const CsrGraph serial = sgm::graph::build_knn_graph_hnsw(pts, gopt, hopt);
-  for (std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
-    gopt.num_threads = threads;
-    expect_identical_graphs(
-        serial, sgm::graph::build_knn_graph_hnsw(pts, gopt, hopt));
-  }
-}
-
 TEST(ParallelRefresh, BuildPgmThreadOverridePlumbsThrough) {
   sgm::util::Rng rng(24);
   const Matrix pts = random_points(600, 2, rng);
@@ -195,25 +179,22 @@ TEST(ParallelRefresh, LrdClusteringIdenticalAcrossThreadCounts) {
   kopt.num_threads = 1;
   const CsrGraph g = sgm::graph::build_knn_graph(pts, kopt);
 
-  for (auto method :
-       {sgm::graph::ErMethod::kSmoothed, sgm::graph::ErMethod::kJlSolve}) {
-    sgm::graph::LrdOptions opt;
-    opt.levels = 6;
-    opt.er.method = method;
-    opt.er.num_vectors = 6;
-    opt.er.smoothing_iterations = 15;
-    opt.num_threads = 1;
-    const sgm::graph::Clustering serial = sgm::graph::lrd_decompose(g, opt);
-    for (std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
-      opt.num_threads = threads;
-      const sgm::graph::Clustering par = sgm::graph::lrd_decompose(g, opt);
-      EXPECT_EQ(serial.num_clusters, par.num_clusters);
-      ASSERT_EQ(serial.node_cluster.size(), par.node_cluster.size());
-      EXPECT_EQ(serial.node_cluster, par.node_cluster);
-      ASSERT_EQ(serial.cluster_diameter.size(), par.cluster_diameter.size());
-      for (std::size_t c = 0; c < serial.cluster_diameter.size(); ++c)
-        EXPECT_EQ(serial.cluster_diameter[c], par.cluster_diameter[c]);
-    }
+  sgm::graph::LrdOptions opt;
+  opt.levels = 6;
+  opt.er.method = sgm::graph::ErMethod::kSmoothed;
+  opt.er.num_vectors = 6;
+  opt.er.smoothing_iterations = 15;
+  opt.num_threads = 1;
+  const sgm::graph::Clustering serial = sgm::graph::lrd_decompose(g, opt);
+  for (std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+    opt.num_threads = threads;
+    const sgm::graph::Clustering par = sgm::graph::lrd_decompose(g, opt);
+    EXPECT_EQ(serial.num_clusters, par.num_clusters);
+    ASSERT_EQ(serial.node_cluster.size(), par.node_cluster.size());
+    EXPECT_EQ(serial.node_cluster, par.node_cluster);
+    ASSERT_EQ(serial.cluster_diameter.size(), par.cluster_diameter.size());
+    for (std::size_t c = 0; c < serial.cluster_diameter.size(); ++c)
+      EXPECT_EQ(serial.cluster_diameter[c], par.cluster_diameter[c]);
   }
 }
 

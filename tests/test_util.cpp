@@ -119,41 +119,12 @@ TEST(Rng, SplitStreamsIndependent) {
   EXPECT_LT(same, 2);
 }
 
-TEST(Rng, RademacherBalanced) {
-  Rng rng(21);
-  int pos = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i)
-    if (rng.rademacher() > 0) ++pos;
-  EXPECT_NEAR(static_cast<double>(pos) / n, 0.5, 0.01);
-}
-
 TEST(WallTimer, Monotonic) {
   sgm::util::WallTimer t;
   const double a = t.elapsed_s();
   const double b = t.elapsed_s();
   EXPECT_GE(b, a);
   EXPECT_GE(a, 0.0);
-}
-
-TEST(PhaseAccumulator, AccumulatesAndCounts) {
-  sgm::util::PhaseAccumulator acc;
-  acc.add("fw", 1.0);
-  acc.add("fw", 0.5);
-  acc.add("bw", 2.0);
-  EXPECT_DOUBLE_EQ(acc.total("fw"), 1.5);
-  EXPECT_EQ(acc.count("fw"), 2u);
-  EXPECT_DOUBLE_EQ(acc.total("bw"), 2.0);
-  EXPECT_DOUBLE_EQ(acc.total("missing"), 0.0);
-  acc.clear();
-  EXPECT_DOUBLE_EQ(acc.total("fw"), 0.0);
-}
-
-TEST(ScopedPhase, AddsOnDestruction) {
-  sgm::util::PhaseAccumulator acc;
-  { sgm::util::ScopedPhase phase(acc, "scope"); }
-  EXPECT_EQ(acc.count("scope"), 1u);
-  EXPECT_GE(acc.total("scope"), 0.0);
 }
 
 TEST(CsvWriter, WritesHeaderAndRows) {
