@@ -82,17 +82,25 @@ void BM_TrainStep(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(net.num_parameters()));
 }
 
-// args: {batch, width, depth, n_deriv, threads}
+// args: {batch, width, depth, n_deriv, threads}. Time is wall time and CPU
+// is the whole process's, pool workers included, so a threaded row shows
+// what its fan-out costs.
 BENCHMARK(BM_TrainStep)
     ->Args({512, 64, 4, 2, 1})    // lid-driven-cavity smoke configuration
     ->Args({512, 64, 4, 2, 4})
     ->Args({512, 64, 4, 0, 1})
     ->Args({512, 64, 4, 1, 1})
     ->Args({128, 64, 4, 2, 1})
+    ->Args({128, 48, 4, 2, 1})    // registered kFull step: below the floor
+    ->Args({128, 48, 4, 2, 4})
+    ->Args({1024, 48, 4, 2, 1})   // bench_table1_ldc U_large: above it
+    ->Args({1024, 48, 4, 2, 4})
     ->Args({2048, 64, 4, 2, 1})
     ->Args({2048, 64, 4, 2, 4})
     ->Args({512, 128, 4, 2, 1})
     ->Args({512, 64, 8, 2, 1})
+    ->MeasureProcessCPUTime()
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

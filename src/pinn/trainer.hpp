@@ -51,10 +51,12 @@ struct TrainerOptions {
   std::uint64_t validate_every = 200;
   std::string telemetry_csv;        ///< optional CSV path ("" = off)
   std::uint64_t seed = 1;
-  /// Worker threads for the forward/backward tape kernels (the training
-  /// step itself, not the sampler rebuilds — those are SgmOptions::
-  /// num_threads). 0 = SGM_NUM_THREADS env or hardware concurrency.
-  /// Histories are byte-identical at any setting.
+  /// Most worker threads the forward/backward tape kernels may use (the
+  /// training step itself, not the sampler rebuilds — those are
+  /// SgmOptions::num_threads). 0 = SGM_NUM_THREADS env or hardware
+  /// concurrency. An upper bound: a kernel below two of Tape::kWorkFloor
+  /// runs on the training thread, which is every kernel of a 128-row,
+  /// width-48 step. Histories are byte-identical at any setting.
   std::size_t num_threads = 0;
 
   // --- robustness / recovery (all off by default) --------------------------

@@ -20,7 +20,7 @@ void axpy_grad(Tape& t, VarId in, const Matrix& g, double alpha) {
   Matrix& gb = t.grad_buf(in);
   const double* gp = g.data();
   double* o = gb.data();
-  t.parallel_range(g.size(), Tape::kElemGrain,
+  t.parallel_range(g.size(), Tape::kPointwiseWork,
                    [&](std::size_t b, std::size_t e) {
                      for (std::size_t i = b; i < e; ++i) o[i] += alpha * gp[i];
                    });
@@ -33,7 +33,7 @@ void prod_grad(Tape& t, VarId in, const Matrix& g, const Matrix& other) {
   const double* gp = g.data();
   const double* op = other.data();
   double* o = gb.data();
-  t.parallel_range(g.size(), Tape::kElemGrain,
+  t.parallel_range(g.size(), Tape::kPointwiseWork,
                    [&](std::size_t b, std::size_t e) {
                      for (std::size_t i = b; i < e; ++i) o[i] += gp[i] * op[i];
                    });
@@ -60,7 +60,7 @@ void matmul_grad_left(Tape& t, TapeNode& n, VarId a, const Matrix& g,
   Matrix& bt = n.aux[0];
   transpose_into(bv, bt);
   Matrix& ga = t.grad_buf(a);
-  t.parallel_range(ga.rows(), Tape::kRowGrain,
+  t.parallel_range(ga.rows(), g.cols() * bt.cols(),
                    [&](std::size_t b, std::size_t e) {
                      gemm_nn(g, bt, ga, b, e, /*accumulate=*/true);
                    });
@@ -70,7 +70,7 @@ void matmul_grad_left(Tape& t, TapeNode& n, VarId a, const Matrix& g,
 void matmul_grad_right(Tape& t, VarId b, const Matrix& av, const Matrix& g) {
   if (!t.requires_grad(b)) return;
   Matrix& gb = t.grad_buf(b);
-  t.parallel_range(gb.rows(), Tape::kRowGrain,
+  t.parallel_range(gb.rows(), av.rows() * g.cols(),
                    [&](std::size_t rb, std::size_t re) {
                      gemm_tn(av, g, gb, rb, re, /*accumulate=*/true);
                    });
@@ -90,7 +90,7 @@ VarId add(Tape& t, VarId a, VarId b) {
   const double* ap = av.data();
   const double* bp = bv.data();
   double* vp = v.data();
-  t.parallel_range(v.size(), Tape::kElemGrain,
+  t.parallel_range(v.size(), Tape::kPointwiseWork,
                    [&](std::size_t b0, std::size_t e) {
                      for (std::size_t i = b0; i < e; ++i) vp[i] = ap[i] + bp[i];
                    });
@@ -107,7 +107,7 @@ VarId sub(Tape& t, VarId a, VarId b) {
   const double* ap = av.data();
   const double* bp = bv.data();
   double* vp = v.data();
-  t.parallel_range(v.size(), Tape::kElemGrain,
+  t.parallel_range(v.size(), Tape::kPointwiseWork,
                    [&](std::size_t b0, std::size_t e) {
                      for (std::size_t i = b0; i < e; ++i) vp[i] = ap[i] - bp[i];
                    });
@@ -124,7 +124,7 @@ VarId mul(Tape& t, VarId a, VarId b) {
   const double* ap = av.data();
   const double* bp = bv.data();
   double* vp = v.data();
-  t.parallel_range(v.size(), Tape::kElemGrain,
+  t.parallel_range(v.size(), Tape::kPointwiseWork,
                    [&](std::size_t b0, std::size_t e) {
                      for (std::size_t i = b0; i < e; ++i) vp[i] = ap[i] * bp[i];
                    });
@@ -139,7 +139,7 @@ VarId scale(Tape& t, VarId a, double s) {
   v.resize(av.rows(), av.cols());
   const double* ap = av.data();
   double* vp = v.data();
-  t.parallel_range(v.size(), Tape::kElemGrain,
+  t.parallel_range(v.size(), Tape::kPointwiseWork,
                    [&](std::size_t b0, std::size_t e) {
                      for (std::size_t i = b0; i < e; ++i) vp[i] = s * ap[i];
                    });
@@ -154,7 +154,7 @@ VarId add_scalar(Tape& t, VarId a, double s) {
   v.resize(av.rows(), av.cols());
   const double* ap = av.data();
   double* vp = v.data();
-  t.parallel_range(v.size(), Tape::kElemGrain,
+  t.parallel_range(v.size(), Tape::kPointwiseWork,
                    [&](std::size_t b0, std::size_t e) {
                      for (std::size_t i = b0; i < e; ++i) vp[i] = ap[i] + s;
                    });
@@ -177,7 +177,7 @@ VarId matmul(Tape& t, VarId a, VarId b) {
   const Matrix& bv = t.value(b);
   Matrix& v = t.mutable_value(id);
   v.resize(av.rows(), bv.cols());
-  t.parallel_range(v.rows(), Tape::kRowGrain,
+  t.parallel_range(v.rows(), av.cols() * bv.cols(),
                    [&](std::size_t rb, std::size_t re) {
                      gemm_nn(av, bv, v, rb, re, /*accumulate=*/false);
                    });
@@ -193,7 +193,7 @@ VarId add_rowvec(Tape& t, VarId x, VarId b) {
   Matrix& v = t.mutable_value(id);
   v.resize(xv.rows(), xv.cols());
   const double* brow = bv.row(0);
-  t.parallel_range(v.rows(), Tape::kRowGrain,
+  t.parallel_range(v.rows(), v.cols() * Tape::kPointwiseWork,
                    [&](std::size_t rb, std::size_t re) {
                      for (std::size_t r = rb; r < re; ++r) {
                        const double* xrow = xv.row(r);
@@ -220,7 +220,7 @@ VarId affine(Tape& t, VarId a, VarId w, VarId b) {
   Matrix& v = t.mutable_value(id);
   v.resize(av.rows(), wv.cols());
   const double* brow = bv.row(0);
-  t.parallel_range(v.rows(), Tape::kRowGrain,
+  t.parallel_range(v.rows(), av.cols() * wv.cols(),
                    [&](std::size_t rb, std::size_t re) {
                      gemm_nn(av, wv, v, rb, re, /*accumulate=*/false);
                      for (std::size_t r = rb; r < re; ++r) {
@@ -243,7 +243,7 @@ VarId apply(Tape& t, VarId a, const ElementwiseFunction& f, int order) {
   v.resize(av.rows(), av.cols());
   const double* ap = av.data();
   double* vp = v.data();
-  t.parallel_range(v.size(), Tape::kElemGrain,
+  t.parallel_range(v.size(), Tape::kTranscendentalWork,
                    [&](std::size_t b0, std::size_t e) {
                      for (std::size_t i = b0; i < e; ++i)
                        vp[i] = f.eval(ap[i], order);
@@ -266,7 +266,7 @@ VarId activation(Tape& t, VarId z, const ElementwiseFunction& f, int orders) {
   double* out1 = n.aux[0].data();
   double* out2 = orders >= 2 ? n.aux[1].data() : nullptr;
   double* out3 = orders >= 3 ? n.aux[2].data() : nullptr;
-  t.parallel_range(zv.size(), Tape::kElemGrain,
+  t.parallel_range(zv.size(), Tape::kTranscendentalWork,
                    [&](std::size_t b0, std::size_t e) {
                      double buf[4];
                      for (std::size_t i = b0; i < e; ++i) {
@@ -294,7 +294,7 @@ VarId act_chain(Tape& t, VarId act, VarId zk) {
   const double* s1p = s1.data();
   const double* zp = zkv.data();
   double* vp = v.data();
-  t.parallel_range(v.size(), Tape::kElemGrain,
+  t.parallel_range(v.size(), Tape::kPointwiseWork,
                    [&](std::size_t b0, std::size_t e) {
                      for (std::size_t i = b0; i < e; ++i)
                        vp[i] = s1p[i] * zp[i];
@@ -321,7 +321,7 @@ VarId act_curve(Tape& t, VarId act, VarId zk, VarId hzk) {
   const double* zp = zkv.data();
   const double* hp = hzkv.data();
   double* vp = v.data();
-  t.parallel_range(v.size(), Tape::kElemGrain,
+  t.parallel_range(v.size(), Tape::kPointwiseWork,
                    [&](std::size_t b0, std::size_t e) {
                      for (std::size_t i = b0; i < e; ++i)
                        vp[i] = s2p[i] * zp[i] * zp[i] + s1p[i] * hp[i];
@@ -336,7 +336,7 @@ VarId square(Tape& t, VarId a) {
   v.resize(av.rows(), av.cols());
   const double* ap = av.data();
   double* vp = v.data();
-  t.parallel_range(v.size(), Tape::kElemGrain,
+  t.parallel_range(v.size(), Tape::kPointwiseWork,
                    [&](std::size_t b0, std::size_t e) {
                      for (std::size_t i = b0; i < e; ++i) vp[i] = ap[i] * ap[i];
                    });
@@ -367,7 +367,8 @@ VarId hcat(Tape& t, VarId a, VarId b) {
   Matrix& v = t.mutable_value(id);
   v.resize(av.rows(), av.cols() + bv.cols());
   t.parallel_range(
-      v.rows(), Tape::kRowGrain, [&](std::size_t rb, std::size_t re) {
+      v.rows(), v.cols() * Tape::kPointwiseWork,
+      [&](std::size_t rb, std::size_t re) {
         for (std::size_t r = rb; r < re; ++r) {
           double* vrow = v.row(r);
           const double* arow = av.row(r);
@@ -473,7 +474,7 @@ void backward_node(Tape& t, VarId id) {
       const double* ap = av.data();
       const double* gp = g.data();
       double* o = ga.data();
-      t.parallel_range(g.size(), Tape::kElemGrain,
+      t.parallel_range(g.size(), Tape::kTranscendentalWork,
                        [&](std::size_t b, std::size_t e) {
                          for (std::size_t i = b; i < e; ++i)
                            o[i] += gp[i] * f->eval(ap[i], next);
@@ -495,7 +496,7 @@ void backward_node(Tape& t, VarId id) {
         const double* zkp = zkv.data();
         const double* gp = g.data();
         double* o = gz.data();
-        t.parallel_range(g.size(), Tape::kElemGrain,
+        t.parallel_range(g.size(), Tape::kPointwiseWork,
                          [&](std::size_t b, std::size_t e) {
                            for (std::size_t i = b; i < e; ++i)
                              o[i] += gp[i] * s2p[i] * zkp[i];
@@ -519,7 +520,7 @@ void backward_node(Tape& t, VarId id) {
         const double* hp = hzkv.data();
         double* o = gz.data();
         t.parallel_range(
-            g.size(), Tape::kElemGrain, [&](std::size_t b, std::size_t e) {
+            g.size(), Tape::kPointwiseWork, [&](std::size_t b, std::size_t e) {
               for (std::size_t i = b; i < e; ++i)
                 o[i] += gp[i] * (s3p[i] * zkp[i] * zkp[i] + s2p[i] * hp[i]);
             });
@@ -529,7 +530,7 @@ void backward_node(Tape& t, VarId id) {
         const double* s2p = act.aux[1].data();
         const double* zkp = zkv.data();
         double* o = gzk.data();
-        t.parallel_range(g.size(), Tape::kElemGrain,
+        t.parallel_range(g.size(), Tape::kPointwiseWork,
                          [&](std::size_t b, std::size_t e) {
                            for (std::size_t i = b; i < e; ++i)
                              o[i] += 2.0 * gp[i] * s2p[i] * zkp[i];
@@ -546,7 +547,7 @@ void backward_node(Tape& t, VarId id) {
       const double* ap = av.data();
       const double* gp = g.data();
       double* o = ga.data();
-      t.parallel_range(g.size(), Tape::kElemGrain,
+      t.parallel_range(g.size(), Tape::kPointwiseWork,
                        [&](std::size_t b, std::size_t e) {
                          for (std::size_t i = b; i < e; ++i)
                            o[i] += 2.0 * gp[i] * ap[i];
@@ -568,7 +569,7 @@ void backward_node(Tape& t, VarId id) {
       Matrix& ga = t.grad_buf(a);
       const double gv = g(0, 0) * n.scalar;
       double* o = ga.data();
-      t.parallel_range(ga.size(), Tape::kElemGrain,
+      t.parallel_range(ga.size(), Tape::kPointwiseWork,
                        [&](std::size_t b, std::size_t e) {
                          for (std::size_t i = b; i < e; ++i) o[i] += gv;
                        });
@@ -581,7 +582,7 @@ void backward_node(Tape& t, VarId id) {
       const double gv = g(0, 0) * n.scalar;
       const double* wp = n.aux[0].data();
       double* o = ga.data();
-      t.parallel_range(ga.size(), Tape::kElemGrain,
+      t.parallel_range(ga.size(), Tape::kPointwiseWork,
                        [&](std::size_t b, std::size_t e) {
                          for (std::size_t i = b; i < e; ++i)
                            o[i] += gv * wp[i];
@@ -593,7 +594,7 @@ void backward_node(Tape& t, VarId id) {
       const std::size_t ac = n.index;
       if (t.requires_grad(a)) {
         Matrix& ga = t.grad_buf(a);
-        t.parallel_range(g.rows(), Tape::kRowGrain,
+        t.parallel_range(g.rows(), ac * Tape::kPointwiseWork,
                          [&](std::size_t rb, std::size_t re) {
                            for (std::size_t r = rb; r < re; ++r)
                              for (std::size_t c = 0; c < ac; ++c)
@@ -603,7 +604,7 @@ void backward_node(Tape& t, VarId id) {
       if (t.requires_grad(b)) {
         Matrix& gb = t.grad_buf(b);
         const std::size_t bc = g.cols() - ac;
-        t.parallel_range(g.rows(), Tape::kRowGrain,
+        t.parallel_range(g.rows(), bc * Tape::kPointwiseWork,
                          [&](std::size_t rb, std::size_t re) {
                            for (std::size_t r = rb; r < re; ++r)
                              for (std::size_t c = 0; c < bc; ++c)

@@ -18,12 +18,14 @@
 //    ZERO heap allocations in steady state (asserted by tests; input
 //    encodings other than identity still stage their encode() outputs
 //    outside the arena);
-//  * kernels are threaded over row/element chunks via util::ThreadPool.
-//    Every threaded kernel writes disjoint output elements and keeps each
-//    element's floating-point accumulation order fixed, and reductions run
-//    serially, so results are byte-identical at any num_threads (the
-//    trainer's determinism invariant). num_threads=1 (the default) never
-//    touches the pool.
+//  * kernels fan out over util::ThreadPool by work, not by rows: a loop is
+//    cut into chunks of at least kWorkFloor FMA-equivalents and runs inline
+//    when fewer than two result, so num_threads is an upper bound. A
+//    width-48 step at 128 rows never touches the pool; 1,024-row steps
+//    do. Every threaded kernel writes disjoint output elements and keeps
+//    each element's floating-point accumulation order fixed, and
+//    reductions run serially, so results are byte-identical at any
+//    num_threads (the trainer's determinism invariant).
 
 #include <array>
 #include <cstdint>
@@ -123,8 +125,9 @@ class Tape {
   /// per-step reuse is allocation-free once shapes have stabilized.
   void clear() { size_ = 0; }
 
-  /// Worker threads for the threaded kernels (resolved count; 1 = serial,
-  /// the default). Results are byte-identical at any setting.
+  /// Most threads a kernel may use (resolved count; 1 = serial, the
+  /// default). Loops below two work floors run inline whatever the
+  /// setting. Results are byte-identical at any setting.
   void set_num_threads(std::size_t n) { threads_ = n > 0 ? n : 1; }
   std::size_t num_threads() const { return threads_; }
 
@@ -136,25 +139,39 @@ class Tape {
   /// first touch of this backward sweep; kernels accumulate into it.
   Matrix& grad_buf(VarId id);
 
-  /// Chunked loop over [0, n): fn(begin, end). Runs inline when serial or
-  /// when n is below two grains; otherwise fans out over the shared pool
-  /// with a chunk layout that depends only on `grain` — callers write
-  /// disjoint slots, so outputs never depend on the thread count.
+  /// Chunked loop over [0, n): fn(begin, end). `work` is what one index
+  /// costs in FMA-equivalents: inner × cols for a GEMM output row,
+  /// kPointwiseWork or kTranscendentalWork per element. The total is cut
+  /// into as many equal chunks as it holds whole kWorkFloors, each rounded
+  /// up to the GEMM kernel's 4-row tile. Under two chunks, or at one
+  /// thread, the loop runs inline as fn(0, n); otherwise it fans out over
+  /// the shared pool. The layout depends only on n and work, and callers
+  /// write disjoint slots, so outputs never depend on the thread count.
   template <class Fn>
-  void parallel_range(std::size_t n, std::size_t grain, Fn&& fn) const {
-    if (threads_ <= 1 || n < 2 * grain) {
+  void parallel_range(std::size_t n, std::size_t work, Fn&& fn) const {
+    const std::size_t chunks = n * work / kWorkFloor;
+    if (threads_ <= 1 || chunks < 2) {
       fn(std::size_t{0}, n);
       return;
     }
+    const std::size_t grain = ((n + chunks - 1) / chunks + 3) / 4 * 4;
     util::parallel_for_chunks(
         0, n, grain, threads_,
         [&fn](std::size_t b, std::size_t e, std::size_t) { fn(b, e); });
   }
 
-  /// Grain sizes for the threaded kernels (rows for GEMM-shaped loops,
-  /// raw elements for pointwise loops).
-  static constexpr std::size_t kRowGrain = 32;
-  static constexpr std::size_t kElemGrain = 8192;
+  /// Least work one chunk carries. A fan-out costs ~50 µs of process CPU
+  /// (task hand-off and worker wake-ups); 2^20 FMAs take ~75 µs at the
+  /// GEMM kernel's ~14 GFMA/s on one AVX2 core, so a chunk carries more
+  /// than handing it out costs.
+  static constexpr std::size_t kWorkFloor = std::size_t{1} << 20;
+  /// Work per element of a pointwise loop (a few loads and a store). A
+  /// loop long enough to split has left L2, where an element costs ~1 ns,
+  /// ~12 FMA times, and the fused act_* loops read up to five arrays.
+  static constexpr std::size_t kPointwiseWork = 16;
+  /// Work per element of an ElementwiseFunction sweep (apply, and the
+  /// f..f''' ladder of activation): ~20–27 ns, 250–350 FMA times.
+  static constexpr std::size_t kTranscendentalWork = 256;
 
  private:
   VarId alloc_node();

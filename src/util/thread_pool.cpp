@@ -5,14 +5,31 @@
 #include <chrono>
 #include <cstdlib>
 #include <exception>
+#include <stdexcept>
+#include <string>
 
 namespace sgm::util {
+
+namespace {
+// Largest count SGM_NUM_THREADS may ask for: it sizes ThreadPool::shared(),
+// so an unbounded value would start that many OS threads.
+constexpr std::size_t kMaxEnvThreads = 256;
+}  // namespace
 
 std::size_t resolve_threads(std::size_t requested) {
   if (requested > 0) return requested;
   if (const char* env = std::getenv("SGM_NUM_THREADS")) {
-    const long v = std::atol(env);
-    if (v > 0) return static_cast<std::size_t>(v);
+    // Digits only, accumulated with an early cap check: no sign, space or
+    // trailing text, and no overflow.
+    std::size_t v = 0;
+    const char* p = env;
+    for (; *p >= '0' && *p <= '9' && v <= kMaxEnvThreads; ++p)
+      v = v * 10 + static_cast<std::size_t>(*p - '0');
+    if (*p != '\0' || v > kMaxEnvThreads)
+      throw std::invalid_argument(
+          "SGM_NUM_THREADS must be empty or an integer in [0, " +
+          std::to_string(kMaxEnvThreads) + "], got \"" + env + "\"");
+    if (v > 0) return v;
   }
   const unsigned hc = std::thread::hardware_concurrency();
   return hc > 0 ? hc : 1;

@@ -26,8 +26,10 @@
 namespace sgm::util {
 
 /// Resolves a requested thread count: n > 0 is taken literally; 0 selects
-/// the `SGM_NUM_THREADS` environment variable when set (> 0), otherwise
-/// std::thread::hardware_concurrency() (minimum 1).
+/// the `SGM_NUM_THREADS` environment variable when it holds a decimal
+/// integer in [1, 256], otherwise (unset, empty or "0")
+/// std::thread::hardware_concurrency() (minimum 1). Any other value of the
+/// variable throws std::invalid_argument naming it.
 std::size_t resolve_threads(std::size_t requested);
 
 /// Fixed pool of worker threads draining a shared task queue. Safe to submit

@@ -4,9 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/pgm.hpp"
@@ -51,6 +56,47 @@ TEST(ThreadPool, ResolveThreadsPassesThroughExplicitCounts) {
   EXPECT_EQ(sgm::util::resolve_threads(1), 1u);
   EXPECT_EQ(sgm::util::resolve_threads(7), 7u);
   EXPECT_GE(sgm::util::resolve_threads(0), 1u);
+}
+
+TEST(ThreadPool, ResolveThreadsParsesEnvStrictly) {
+  // Only resolve_threads(0) runs here: no pool is sized from these values.
+  // The variable is restored on scope exit.
+  struct RestoreEnv {
+    std::optional<std::string> saved;
+    RestoreEnv() {
+      if (const char* v = std::getenv("SGM_NUM_THREADS")) saved = v;
+    }
+    ~RestoreEnv() {
+      if (saved)
+        ::setenv("SGM_NUM_THREADS", saved->c_str(), 1);
+      else
+        ::unsetenv("SGM_NUM_THREADS");
+    }
+  } restore;
+  const std::size_t hardware =
+      std::max(std::thread::hardware_concurrency(), 1u);
+  auto resolve_with = [](const char* value) {
+    ::setenv("SGM_NUM_THREADS", value, 1);
+    return sgm::util::resolve_threads(0);
+  };
+
+  EXPECT_EQ(resolve_with("4"), 4u);
+  EXPECT_EQ(resolve_with("256"), 256u);
+  EXPECT_EQ(resolve_with("0"), hardware);
+  EXPECT_EQ(resolve_with(""), hardware);
+  for (const char* bad : {"4abc", " 4", "+4", "-1", "257", "100000",
+                          "99999999999999999999", "abc", "4 "}) {
+    try {
+      resolve_with(bad);
+      ADD_FAILURE() << "accepted SGM_NUM_THREADS=\"" << bad << "\"";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("SGM_NUM_THREADS"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  ::unsetenv("SGM_NUM_THREADS");
+  EXPECT_EQ(sgm::util::resolve_threads(0), hardware);
 }
 
 // ------------------------------------------------------- parallel_for(_chunks)
