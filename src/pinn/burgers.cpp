@@ -95,14 +95,10 @@ VarId BurgersProblem::batch_loss(Tape& tape, const nn::Mlp& net,
 
 std::vector<double> BurgersProblem::pointwise_residual(
     const nn::Mlp& net, const std::vector<std::uint32_t>& rows) const {
-  Tape tape;
-  const nn::Mlp::Binding binding = net.bind(tape);
-  const Matrix batch = gather_rows(interior_, rows);
-  const VarId residual = residual_on_tape(tape, net, binding, batch);
-  const Matrix& r = tape.value(residual);
-  std::vector<double> score(rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) score[i] = r(i, 0) * r(i, 0);
-  return score;
+  return evaluate_in_blocks(
+      net, gather_rows(interior_, rows), [&](Tape& t, auto& b, auto& x) {
+        return tensor::square(t, residual_on_tape(t, net, b, x));
+      });
 }
 
 std::vector<ValidationEntry> BurgersProblem::validate(

@@ -62,10 +62,6 @@ LdcProblem::LdcProblem(const Options& options,
   util::Rng rng(opt_.seed);
   Rectangle square(0, 1, 0, 1);
   interior_ = square.sample_interior(opt_.interior_points, rng);
-  wall_distance_ = Matrix(interior_.rows(), 1);
-  for (std::size_t i = 0; i < interior_.rows(); ++i)
-    wall_distance_(i, 0) =
-        unit_square_wall_distance(interior_(i, 0), interior_(i, 1));
 
   const std::size_t per_side = opt_.boundary_points / 4;
   boundary_ = Matrix(4 * per_side, 2);
@@ -162,14 +158,10 @@ VarId LdcProblem::batch_loss(Tape& tape, const nn::Mlp& net,
 
 std::vector<double> LdcProblem::pointwise_residual(
     const nn::Mlp& net, const std::vector<std::uint32_t>& rows) const {
-  Tape tape;
-  const nn::Mlp::Binding binding = net.bind(tape);
-  const Matrix batch = gather_rows(interior_, rows);
-  const BatchTerms terms = interior_terms(tape, net, binding, batch);
-  const Matrix& r = tape.value(terms.residual_sq_per_point);
-  std::vector<double> score(rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) score[i] = r(i, 0);
-  return score;
+  return evaluate_in_blocks(
+      net, gather_rows(interior_, rows), [&](Tape& t, auto& b, auto& x) {
+        return interior_terms(t, net, b, x).residual_sq_per_point;
+      });
 }
 
 std::vector<ValidationEntry> LdcProblem::validate(const nn::Mlp& net) const {
@@ -197,16 +189,16 @@ std::vector<ValidationEntry> LdcProblem::validate(const nn::Mlp& net) const {
     // reference velocity field (central differences at grid spacing).
     double num_n = 0, den_n = 0;
     const double h = ref.h;
-    Tape tape2;
-    const nn::Mlp::Binding binding2 = net.bind(tape2);
-    auto tout2 = net.forward_on_tape(tape2, binding2, grid, /*n_deriv=*/2);
-    const Matrix& jx = tape2.value(tout2.dy[0]);
-    const Matrix& jy = tape2.value(tout2.dy[1]);
+    const std::vector<double> j = evaluate_in_blocks(
+        net, grid, [&](Tape& t, auto& b, auto& x) {
+          const auto out = net.forward_on_tape(t, b, x, /*n_deriv=*/2);
+          return tensor::hcat(t, out.dy[0], out.dy[1]);
+        });
     for (std::size_t i = 0; i < grid.rows(); ++i) {
       const double x = grid(i, 0), y = grid(i, 1);
-      // PINN nu_t.
-      const double ux = jx(i, 0), vx = jx(i, 1);
-      const double uy = jy(i, 0), vy = jy(i, 1);
+      // PINN nu_t; j holds [u_x v_x p_x u_y v_y p_y] per grid point.
+      const double ux = j[6 * i], vx = j[6 * i + 1];
+      const double uy = j[6 * i + 3], vy = j[6 * i + 4];
       const double g_pred = 2 * (ux * ux + vy * vy) + (uy + vx) * (uy + vx);
       const double lm = mixing_length(unit_square_wall_distance(x, y),
                                       opt_.zero_eq);

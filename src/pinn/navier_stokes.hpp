@@ -93,7 +93,6 @@ class LdcProblem final : public PinnProblem {
   Options opt_;
   double nu_ = 0.0;  ///< molecular viscosity = lid_velocity / Re
   tensor::Matrix interior_;        // N x 2
-  tensor::Matrix wall_distance_;   // N x 1
   tensor::Matrix boundary_;        // Nb x 2
   tensor::Matrix boundary_uv_;     // Nb x 2 target (u, v)
   std::shared_ptr<const cfd::LdcSolution> reference_;

@@ -17,10 +17,6 @@ PoissonProblem::PoissonProblem(const Options& options) : opt_(options) {
   util::Rng rng(opt_.seed);
   Rectangle square(0, 1, 0, 1);
   interior_ = square.sample_interior(opt_.interior_points, rng);
-  interior_rhs_ = Matrix(interior_.rows(), 1);
-  for (std::size_t i = 0; i < interior_.rows(); ++i)
-    interior_rhs_(i, 0) =
-        cfd::poisson_manufactured_rhs(interior_(i, 0), interior_(i, 1));
 
   const std::size_t per_side = opt_.boundary_points / 4;
   boundary_ = Matrix(4 * per_side, 2);
@@ -80,14 +76,10 @@ VarId PoissonProblem::batch_loss(Tape& tape, const nn::Mlp& net,
 
 std::vector<double> PoissonProblem::pointwise_residual(
     const nn::Mlp& net, const std::vector<std::uint32_t>& rows) const {
-  Tape tape;
-  const nn::Mlp::Binding binding = net.bind(tape);
-  const Matrix batch = gather_rows(interior_, rows);
-  const VarId residual = residual_on_tape(tape, net, binding, batch);
-  const Matrix& r = tape.value(residual);
-  std::vector<double> score(rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) score[i] = r(i, 0) * r(i, 0);
-  return score;
+  return evaluate_in_blocks(
+      net, gather_rows(interior_, rows), [&](Tape& t, auto& b, auto& x) {
+        return tensor::square(t, residual_on_tape(t, net, b, x));
+      });
 }
 
 std::vector<ValidationEntry> PoissonProblem::validate(

@@ -7,13 +7,16 @@
 // current per-point residual (the signal every importance sampler consumes)
 // and how to measure validation error against reference data.
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/mlp.hpp"
 #include "tensor/tape.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace sgm::pinn {
@@ -54,6 +57,36 @@ class PinnProblem {
   virtual std::vector<ValidationEntry> validate(const nn::Mlp& net) const = 0;
 };
 
+/// Rows per tape in evaluate_in_blocks (measured; docs/ARCHITECTURE.md).
+inline constexpr std::size_t kEvalBlockRows = 128;
+
+/// Row-major values (points.rows() x c) of record(tape, binding, block), an
+/// n x c VarId per block of kEvalBlockRows rows of `points`, recorded on one
+/// tape local to the call, cleared and re-bound per block. With only row-local
+/// ops on the path to the result, they match one whole-batch tape bit for bit.
+template <class Record>
+std::vector<double> evaluate_in_blocks(const nn::Mlp& net,
+                                       const tensor::Matrix& points,
+                                       Record&& record) {
+  std::vector<double> out;
+  tensor::Matrix block;
+  tensor::Tape tape;
+  nn::Mlp::Binding binding;
+  for (std::size_t first = 0; first < points.rows(); first += kEvalBlockRows) {
+    block.resize(std::min(kEvalBlockRows, points.rows() - first),
+                 points.cols());
+    std::copy_n(points.row(first), block.size(), block.data());
+    tape.clear();
+    net.bind(tape, &binding);
+    const tensor::Matrix& value = tape.value(
+        record(tape, std::as_const(binding), std::as_const(block)));
+    SGM_CHECK(value.rows() == block.rows(), "record is not row-local");
+    if (first == 0) out.reserve(points.rows() * value.cols());
+    out.insert(out.end(), value.data(), value.data() + value.size());
+  }
+  return out;
+}
+
 /// -nabla^2 u = f on the unit square with u = g on the boundary, where f
 /// and g come from the manufactured solution in cfd/analytic.hpp. The
 /// smallest end-to-end PINN; used by quickstart and the integration tests.
@@ -93,7 +126,6 @@ class PoissonProblem final : public PinnProblem {
 
   Options opt_;
   tensor::Matrix interior_;       // N x 2
-  tensor::Matrix interior_rhs_;   // N x 1 (f at each point)
   tensor::Matrix boundary_;       // Nb x 2
   tensor::Matrix boundary_value_; // Nb x 1 (g at each point)
 };

@@ -1,11 +1,17 @@
 // Tests for the PINN problem layer: geometry sampling, loss assembly, the
 // zero-equation closure, and — critically — that each problem's residual
 // operator is consistent with finite differences of the network and that
-// exact reference solutions produce (near-)zero residuals.
+// exact reference solutions produce (near-)zero residuals. Also pins the
+// blocked evaluation that scores representatives: bit-identical to one row
+// at a time and to one whole-batch tape.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <tuple>
 
 #include "cfd/analytic.hpp"
 #include "nn/mlp.hpp"
@@ -15,8 +21,10 @@
 #include "pinn/navier_stokes.hpp"
 #include "pinn/pde.hpp"
 #include "pinn/point_cloud.hpp"
+#include "pinn/scenario.hpp"
 #include "pinn/validation.hpp"
 #include "pinn/zero_eq.hpp"
+#include "tensor/ops.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -364,6 +372,92 @@ TEST(AnnularProblem, PressureErrorFieldShape) {
   EXPECT_EQ(field.cols(), 3u);
   for (std::size_t i = 0; i < field.rows(); ++i) EXPECT_GE(field(i, 2), 0.0);
   EXPECT_NO_THROW(sgm::pinn::ascii_heatmap(field, 8, 6));
+}
+
+// -------------------------------------------------------- blocked scoring --
+
+using sgm::pinn::ScenarioRegistry;
+using sgm::pinn::ScenarioScale;
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+class BlockedScoring
+    : public testing::TestWithParam<std::tuple<std::string, ScenarioScale>> {};
+
+TEST_P(BlockedScoring, ManyRowsMatchOneRowCallsBitForBit) {
+  // 301 rows: two full blocks and a 45-row tail, which is not a multiple of
+  // the GEMM kernels' 4-row tile. A one-row call runs every GEMM on edge
+  // rows, a block mostly on tiles; each element must sum the same way.
+  static_assert(2 * sgm::pinn::kEvalBlockRows + 45 == 301);
+  const auto& [name, scale] = GetParam();
+  const sgm::pinn::ScenarioConfig cfg =
+      ScenarioRegistry::instance().make(name, scale);
+  sgm::util::Rng rng(cfg.net_seed);
+  const Mlp net(cfg.net, rng);
+  const std::size_t n = cfg.problem->interior_points().rows();
+  std::vector<std::uint32_t> rows(301);
+  for (auto& r : rows) r = static_cast<std::uint32_t>(rng.uniform_index(n));
+  rows[290] = rows[7];  // one row repeated, in another block
+
+  const std::vector<double> scores =
+      cfg.problem->pointwise_residual(net, rows);
+  ASSERT_EQ(scores.size(), rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const std::vector<double> one =
+        cfg.problem->pointwise_residual(net, {rows[i]});
+    ASSERT_EQ(one.size(), 1u);
+    ASSERT_EQ(bits(scores[i]), bits(one[0]))
+        << name << " row " << i << " (point " << rows[i] << ")";
+  }
+  EXPECT_TRUE(cfg.problem->pointwise_residual(net, {}).empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllRegistered, BlockedScoring,
+    testing::Combine(testing::ValuesIn(ScenarioRegistry::instance().names()),
+                     testing::Values(ScenarioScale::kSmoke,
+                                     ScenarioScale::kFull)),
+    [](const auto& info) {
+      return std::get<0>(info.param) +
+             (std::get<1>(info.param) == ScenarioScale::kFull ? "_full"
+                                                              : "_smoke");
+    });
+
+TEST(EvaluateInBlocks, JacobianMatchesOneWholeGridTape) {
+  // LdcProblem::validate's nu_t Jacobians: the registered kFull network
+  // (Fourier features) on its 1,600-point grid, in blocks vs on one tape.
+  const sgm::pinn::ScenarioConfig cfg =
+      ScenarioRegistry::instance().make("ldc_zeroeq", ScenarioScale::kFull);
+  sgm::util::Rng rng(cfg.net_seed);
+  const Mlp net(cfg.net, rng);
+  const Matrix grid = sgm::pinn::make_grid(0.03, 0.97, 40, 0.03, 0.97, 40);
+
+  Tape whole;
+  const Mlp::Binding binding = net.bind(whole);
+  const auto out = net.forward_on_tape(whole, binding, grid, /*n_deriv=*/2);
+  const Matrix& jx = whole.value(out.dy[0]);
+  const Matrix& jy = whole.value(out.dy[1]);
+
+  const std::vector<double> j = sgm::pinn::evaluate_in_blocks(
+      net, grid, [&](Tape& t, auto& b, auto& x) {
+        const auto o = net.forward_on_tape(t, b, x, /*n_deriv=*/2);
+        return sgm::tensor::hcat(t, o.dy[0], o.dy[1]);
+      });
+  ASSERT_EQ(j.size(), 6 * grid.rows());
+  for (std::size_t i = 0; i < grid.rows(); ++i)
+    for (std::size_t c = 0; c < 3; ++c) {
+      ASSERT_EQ(bits(j[6 * i + c]), bits(jx(i, c))) << i << "," << c;
+      ASSERT_EQ(bits(j[6 * i + 3 + c]), bits(jy(i, c))) << i << "," << c;
+    }
+
+  // A reduction across rows is not a per-row value.
+  EXPECT_THROW(sgm::pinn::evaluate_in_blocks(
+                   net, grid,
+                   [&](Tape& t, auto& b, auto& x) {
+                     const auto o = net.forward_on_tape(t, b, x, 0);
+                     return sgm::tensor::mean_all(t, o.y);
+                   }),
+               std::runtime_error);
 }
 
 // -------------------------------------------------------------- validation --

@@ -1,5 +1,6 @@
 // Tape v2 regression tests: the bump-arena reuse contract (zero heap
-// allocations in the steady-state tape/forward/backward path), the fused
+// allocations in the steady-state tape/forward/backward path, and scoring
+// memory that does not grow with the number of rows scored), the fused
 // affine/activation ops against their unfused compositions, the blocked
 // GEMM kernels against the naive _reference oracles over random and
 // degenerate shapes, the work floor that decides when a kernel fans out, and
@@ -12,6 +13,7 @@
 #include <cstdlib>
 #include <mutex>
 #include <new>
+#include <numeric>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "nn/activation.hpp"
 #include "nn/mlp.hpp"
 #include "nn/optimizer.hpp"
+#include "pinn/scenario.hpp"
 #include "tensor/matrix.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tape.hpp"
@@ -26,17 +29,21 @@
 
 // ------------------------------------------------------ allocation counter --
 // Global operator new/delete hook. Counting is scoped: only allocations made
-// while an AllocScope is live are counted (on any thread, pool workers
-// included), so gtest's own bookkeeping stays out of the tally.
+// while an AllocScope is live are counted, with their requested bytes (on
+// any thread, pool workers included), so gtest's own bookkeeping stays out
+// of the tally.
 
 namespace {
 std::atomic<bool> g_count_allocs{false};
 std::atomic<std::uint64_t> g_alloc_count{0};
+std::atomic<std::uint64_t> g_alloc_bytes{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
-  if (g_count_allocs.load(std::memory_order_relaxed))
+  if (g_count_allocs.load(std::memory_order_relaxed)) {
     g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+    g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
+  }
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
@@ -60,10 +67,12 @@ namespace ops = sgm::tensor;
 struct AllocScope {
   AllocScope() {
     g_alloc_count.store(0);
+    g_alloc_bytes.store(0);
     g_count_allocs.store(true);
   }
   ~AllocScope() { g_count_allocs.store(false); }
   std::uint64_t count() const { return g_alloc_count.load(); }
+  std::uint64_t bytes() const { return g_alloc_bytes.load(); }
 };
 
 Matrix random_matrix(std::size_t r, std::size_t c, sgm::util::Rng& rng,
@@ -173,6 +182,34 @@ TEST(TapeArena, RegisteredStepShapeAllocatesNothingAtFourThreads) {
   // and never enqueues a pool task, each of which would allocate.
   EXPECT_EQ(steady_state_step_allocs(128, 48, 4, 4), 0u)
       << "registered-shape step at 4 threads performed heap allocations";
+}
+
+// Bytes one pointwise_residual call allocates for the first `n` points of
+// the problem's cloud (the returned scores included).
+std::uint64_t residual_alloc_bytes(const sgm::pinn::PinnProblem& problem,
+                                   const Mlp& net, std::size_t n) {
+  std::vector<std::uint32_t> rows(n);
+  std::iota(rows.begin(), rows.end(), 0u);
+  AllocScope scope;
+  const std::vector<double> scores = problem.pointwise_residual(net, rows);
+  EXPECT_EQ(scores.size(), n);
+  return scope.bytes();
+}
+
+TEST(TapeArena, ScoringMemoryDoesNotGrowWithRows) {
+  // Representatives are scored in fixed-size blocks on one reused tape, so
+  // 8x the rows must not cost 8x the memory: the registered annulus (kFull
+  // network and cloud, Fourier features) at 2,048 vs 256 rows.
+  const sgm::pinn::ScenarioConfig cfg =
+      sgm::pinn::ScenarioRegistry::instance().make(
+          "annular_ring_param", sgm::pinn::ScenarioScale::kFull);
+  sgm::util::Rng rng(cfg.net_seed);
+  const Mlp net(cfg.net, rng);
+  const std::uint64_t small = residual_alloc_bytes(*cfg.problem, net, 256);
+  const std::uint64_t large = residual_alloc_bytes(*cfg.problem, net, 2048);
+  EXPECT_LT(large, 3 * small)
+      << "scoring 2,048 rows allocated " << large << " bytes, 256 rows "
+      << small;
 }
 
 // -------------------------------------------------------------- fused ops --
