@@ -4,13 +4,17 @@
 // wall-clock result in the paper's tables, benchmarked in isolation from the
 // samplers so kernel/tape changes show up undiluted.
 //
-// The loss mirrors a second-order PDE residual: mean((u_x0x0 + u_x1x1)^2)
-// at n_deriv=2 (the lid-driven-cavity configuration), mean(u_x0^2) at
-// n_deriv=1, mean(u^2) at n_deriv=0.
+// The synthetic rows use an identity-encoded network and a loss that
+// mirrors a second-order PDE residual: mean((u_x0x0 + u_x1x1)^2) at
+// n_deriv=2 (the lid-driven-cavity configuration), mean(u_x0^2) at
+// n_deriv=1, mean(u^2) at n_deriv=0. BM_RegisteredStep times the registered
+// kFull ldc_zeroeq and annular_ring_param steps themselves (Fourier
+// features, the problem's batch_loss) at 1 thread.
 //
 // SGM_BENCH_JSON=1 routes google-benchmark's JSON reporter to
 // BENCH_train_step.json (the perf-trajectory artifact uploaded by the
-// perf-smoke CI job).
+// perf-smoke CI job); its context records the GEMM kernel build dispatch
+// selected on the host ("gemm_build").
 
 #include <benchmark/benchmark.h>
 
@@ -20,6 +24,8 @@
 
 #include "nn/mlp.hpp"
 #include "nn/optimizer.hpp"
+#include "pinn/scenario.hpp"
+#include "tensor/gemm_dispatch.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tape.hpp"
 #include "util/rng.hpp"
@@ -103,6 +109,49 @@ BENCHMARK(BM_TrainStep)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
+// The registered kFull step of `scenario` at 1 thread, as Trainer::run
+// performs it: batch_loss over a fixed batch of interior rows (the problem
+// draws its boundary batch from the step's rng), backward, grad
+// collection, Adam. The scenario (LDC's reference solve included) is built
+// outside the timed loop.
+void BM_RegisteredStep(benchmark::State& state, const char* scenario) {
+  const pinn::ScenarioConfig cfg = pinn::ScenarioRegistry::instance().make(
+      scenario, pinn::ScenarioScale::kFull);
+  util::Rng net_rng(cfg.net_seed);
+  nn::Mlp net(cfg.net, net_rng);
+  util::Rng rng(42);
+  std::vector<std::uint32_t> rows(cfg.trainer.batch_size);
+  const std::size_t cloud = cfg.problem->interior_points().rows();
+  for (auto& r : rows)
+    r = static_cast<std::uint32_t>(rng.uniform_index(cloud));
+  nn::Adam adam(cfg.trainer.learning_rate);
+  const std::vector<tensor::Matrix*> params = net.parameters();
+
+  tensor::Tape tape;
+  nn::Mlp::Binding binding;
+  std::vector<tensor::Matrix> grads;
+
+  for (auto _ : state) {
+    tape.clear();
+    net.bind(tape, &binding);
+    const tensor::VarId loss =
+        cfg.problem->batch_loss(tape, net, binding, rows, rng);
+    tape.backward(loss);
+    net.collect_grads_into(tape, binding, &grads);
+    adam.step(params, grads);
+    benchmark::DoNotOptimize(tape.value(loss)(0, 0));
+  }
+}
+
+BENCHMARK_CAPTURE(BM_RegisteredStep, ldc_zeroeq, "ldc_zeroeq")
+    ->MeasureProcessCPUTime()
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_RegisteredStep, annular_ring_param, "annular_ring_param")
+    ->MeasureProcessCPUTime()
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 // Custom main mirroring bench_overhead_sampling: SGM_BENCH_JSON=1 writes the
@@ -118,6 +167,7 @@ int main(int argc, char** argv) {
   }
   int argc2 = static_cast<int>(args.size());
   benchmark::Initialize(&argc2, args.data());
+  benchmark::AddCustomContext("gemm_build", tensor::gemm_build().name);
   if (benchmark::ReportUnrecognizedArguments(argc2, args.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

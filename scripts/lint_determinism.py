@@ -34,11 +34,14 @@ outright in src/:
                    SGM_FAILPOINT_SEED. Enforced structurally too: the
                    failpoint machinery (src/util/failpoint.cpp) must
                    reference util::Rng for its probability draw.
-  fp-contract      every translation unit that includes the GEMM
-                   micro-kernels (gemm_kernels.inl) must be compiled with
-                   -ffp-contract=off in CMakeLists.txt, otherwise the
-                   compiler may fuse mul+add in the tile loops but not the
-                   edge loops and C(i,j) becomes tiling-dependent.
+  fp-contract      every translation unit that includes the generic GEMM
+                   micro-kernels (gemm_kernels.inl), and every source whose
+                   CMake COMPILE_OPTIONS carry -mavx* or -mfma, must be
+                   compiled with -ffp-contract=off in CMakeLists.txt.
+                   Otherwise the compiler may fuse mul+add in the tile loops
+                   but not the edge loops (C(i,j) becomes tiling-dependent),
+                   or fuse differently from the baseline build of the same
+                   code (results fork between hosts).
 
 Usage:
   scripts/lint_determinism.py [--root DIR]   lint DIR (default: repo root)
@@ -196,39 +199,67 @@ def check_file(rel: str, text: str) -> list[Finding]:
     return findings
 
 
+SOURCE_PROPERTIES_RE = re.compile(
+    r"set_source_files_properties\s*\(([^)]*)\)", re.S)
+COMPILE_OPTIONS_RE = re.compile(r'COMPILE_OPTIONS\s+(?:"([^"]*)"|(\S+))')
+VECTOR_ISA_FLAG_RE = re.compile(r"-m(avx[\w.]*|fma)\b")
+
+
+def source_compile_options(cmake: str) -> list[tuple[int, list[str], str]]:
+    """(line, sources, COMPILE_OPTIONS value) per set_source_files_properties
+    call in a CMakeLists text, whole-line comments ignored."""
+    code = re.sub(r"(?m)^\s*#.*$", "", cmake)
+    out = []
+    for m in SOURCE_PROPERTIES_RE.finditer(code):
+        head, _, props = m.group(1).partition("PROPERTIES")
+        opt = COMPILE_OPTIONS_RE.search(props)
+        value = (opt.group(1) or opt.group(2)) if opt else ""
+        out.append((line_of(code, m.start()), head.split(), value))
+    return out
+
+
 def check_fp_contract(root: pathlib.Path) -> list[Finding]:
-    """Every TU including gemm_kernels.inl must get -ffp-contract=off."""
+    """-ffp-contract=off on every TU including gemm_kernels.inl and on every
+    source CMake gives -mavx* or -mfma."""
     findings: list[Finding] = []
     cmake_path = root / "CMakeLists.txt"
     if not cmake_path.exists():
         return [Finding("CMakeLists.txt", 1, "fp-contract",
                         "CMakeLists.txt not found")]
-    cmake = cmake_path.read_text()
+    stanzas = source_compile_options(cmake_path.read_text())
 
-    kernel_tus: list[pathlib.Path] = []
+    def contract_off(source: str) -> bool:
+        return any(source in sources and "-ffp-contract=off" in value
+                   for _, sources, value in stanzas)
+
+    kernel_tus: list[str] = []
     src = root / "src"
     if src.is_dir():
         for path in sorted(src.rglob("*.cpp")):
             if re.search(r'#\s*include\s*"[^"]*gemm_kernels\.inl"',
                          path.read_text()):
-                kernel_tus.append(path.relative_to(root))
+                kernel_tus.append(str(path.relative_to(root)))
 
     for tu in kernel_tus:
-        # Find a set_source_files_properties(...) stanza naming this TU and
-        # carrying -ffp-contract=off in its COMPILE_OPTIONS.
-        ok = False
-        for m in re.finditer(r"set_source_files_properties\s*\(([^)]*)\)",
-                             cmake, re.S):
-            stanza = m.group(1)
-            if str(tu) in stanza and "-ffp-contract=off" in stanza:
-                ok = True
-                break
-        if not ok:
+        if not contract_off(tu):
             findings.append(Finding(
-                str(tu), 1, "fp-contract",
+                tu, 1, "fp-contract",
                 "includes gemm_kernels.inl but CMakeLists.txt does not set "
                 "-ffp-contract=off for it; contraction makes C(i,j) depend "
                 "on where a row falls in the tiling"))
+
+    for line, sources, value in stanzas:
+        flag = VECTOR_ISA_FLAG_RE.search(value)
+        if not flag:
+            continue
+        for source in sources:
+            if not contract_off(source):
+                findings.append(Finding(
+                    "CMakeLists.txt", line, "fp-contract",
+                    f"{source} is compiled with {flag.group(0)} but without "
+                    "-ffp-contract=off; the compiler may then fuse some "
+                    "mul+add pairs and not others, and results depend on "
+                    "the code path and the host"))
     return findings
 
 
@@ -317,6 +348,27 @@ BAD_KERNEL_TU = """
 #include "tensor/gemm_kernels.inl"
 """
 
+# A vector-ISA source without -ffp-contract=off (one flag is enough to
+# fire), then the fixed stanza.
+BAD_ISA_CMAKE = """
+# set_source_files_properties(src/commented.cpp PROPERTIES
+#   COMPILE_OPTIONS "-mavx2")
+set_source_files_properties(src/tensor/gemm_avx512.cpp PROPERTIES
+  COMPILE_OPTIONS "-mavx512f;-mfma")
+set_source_files_properties(src/tensor/plain.cpp PROPERTIES
+  COMPILE_OPTIONS "-O3")
+"""
+
+CLEAN_ISA_CMAKE = """
+# set_source_files_properties(src/commented.cpp PROPERTIES
+#   COMPILE_OPTIONS "-mavx2")
+set_source_files_properties(src/tensor/gemm_avx512.cpp PROPERTIES
+  COMPILE_OPTIONS "-mavx512f;-mfma;-ffp-contract=off"
+  COMPILE_DEFINITIONS X)
+set_source_files_properties(src/tensor/plain.cpp PROPERTIES
+  COMPILE_OPTIONS "-O3")
+"""
+
 
 def self_test() -> int:
     failures: list[str] = []
@@ -356,6 +408,16 @@ def self_test() -> int:
             '  COMPILE_OPTIONS "-ffp-contract=off")\n')
         fp_ok = check_fp_contract(root)
         expect("fp-contract quiet when property present", not fp_ok)
+
+        (root / "src" / "tensor" / "matrix.cpp").unlink()
+        (root / "CMakeLists.txt").write_text(BAD_ISA_CMAKE)
+        isa = check_fp_contract(root)
+        expect("fp-contract fires on a -mavx*/-mfma source",
+               [f.rule for f in isa] == ["fp-contract"]
+               and "gemm_avx512.cpp" in isa[0].message)
+        (root / "CMakeLists.txt").write_text(CLEAN_ISA_CMAKE)
+        expect("fp-contract quiet on a -mavx*/-mfma source with the flag",
+               not check_fp_contract(root))
 
         # Structural failpoint-rng check: fires when failpoint.cpp stops
         # routing through Rng, quiet when it does.

@@ -1,5 +1,7 @@
 #include "nn/activation.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -14,6 +16,50 @@ inline double logistic(double x) {
   }
   const double e = std::exp(x);
   return e / (1.0 + e);
+}
+
+// logistic() split at its exp for the sweeps: the same exp argument (-x for
+// x >= 0, else x — that is -|x|, and NaN passes through as it does above)
+// and the same division, selected without a branch.
+inline double logistic_exp(double x) { return std::exp(x >= 0 ? -x : x); }
+inline double logistic_from(double x, double e) {
+  return (x >= 0 ? 1.0 : e) / (1.0 + e);
+}
+
+// Elements per stack chunk of a sweep; the staged heads stay in L1.
+constexpr std::size_t kSweepChunk = 64;
+
+// An eval_orders sweep in two passes per stack chunk: head(x) for every
+// element first (the libm calls, staged), then ladder(x, head), which
+// returns {f, f', f'', f'''} from plain arithmetic without branches that the
+// compiler vectorizes; orders 0..K are stored. Each ladder spells out the
+// same IEEE operations as its class's eval(), so every value matches eval
+// bit for bit.
+template <int K, class Head, class Ladder>
+void sweep(const double* x, std::size_t n, double* const* out, Head head,
+           Ladder ladder) {
+  decltype(head(0.0)) staged[kSweepChunk];
+  for (std::size_t c0 = 0; c0 < n; c0 += kSweepChunk) {
+    const std::size_t m = std::min(kSweepChunk, n - c0);
+    for (std::size_t i = 0; i < m; ++i) staged[i] = head(x[c0 + i]);
+    for (std::size_t i = 0; i < m; ++i) {
+      const std::array<double, 4> d = ladder(x[c0 + i], staged[i]);
+      for (int k = 0; k <= K; ++k) out[k][c0 + i] = d[k];
+    }
+  }
+}
+
+template <class Head, class Ladder>
+void sweep(const double* x, std::size_t n, int max_order, double* const* out,
+           Head head, Ladder ladder) {
+  switch (max_order) {
+    case 0: return sweep<0>(x, n, out, head, ladder);
+    case 1: return sweep<1>(x, n, out, head, ladder);
+    case 2: return sweep<2>(x, n, out, head, ladder);
+    case 3: return sweep<3>(x, n, out, head, ladder);
+    default:
+      throw std::invalid_argument("eval_orders: max_order must be 0..3");
+  }
 }
 }  // namespace
 
@@ -34,19 +80,16 @@ double Silu::eval(double x, int order) const {
   }
 }
 
-void Silu::eval_orders(double x, int max_order, double* out) const {
-  // One logistic() for the whole derivative ladder — this is the fused
-  // activation sweep the tape's kActivation node performs per element.
-  const double s = logistic(x);
-  const double s1 = s * (1.0 - s);
-  const double s2 = s1 * (1.0 - 2.0 * s);
-  out[0] = x * s;
-  if (max_order >= 1) out[1] = s + x * s1;
-  if (max_order >= 2) out[2] = 2.0 * s1 + x * s2;
-  if (max_order >= 3) {
+void Silu::eval_orders(const double* x, std::size_t n, int max_order,
+                       double* const* out) const {
+  sweep(x, n, max_order, out, logistic_exp, [](double xi, double e) {
+    const double s = logistic_from(xi, e);
+    const double s1 = s * (1.0 - s);
+    const double s2 = s1 * (1.0 - 2.0 * s);
     const double s3 = s2 * (1.0 - 2.0 * s) - 2.0 * s1 * s1;
-    out[3] = 3.0 * s2 + x * s3;
-  }
+    return std::array<double, 4>{xi * s, s + xi * s1, 2.0 * s1 + xi * s2,
+                                 3.0 * s2 + xi * s3};
+  });
 }
 
 double Tanh::eval(double x, int order) const {
@@ -62,13 +105,15 @@ double Tanh::eval(double x, int order) const {
   }
 }
 
-void Tanh::eval_orders(double x, int max_order, double* out) const {
-  const double f = std::tanh(x);
-  const double g = 1.0 - f * f;
-  out[0] = f;
-  if (max_order >= 1) out[1] = g;
-  if (max_order >= 2) out[2] = -2.0 * f * g;
-  if (max_order >= 3) out[3] = -2.0 * g * (1.0 - 3.0 * f * f);
+void Tanh::eval_orders(const double* x, std::size_t n, int max_order,
+                       double* const* out) const {
+  sweep(
+      x, n, max_order, out, [](double xi) { return std::tanh(xi); },
+      [](double, double f) {
+        const double g = 1.0 - f * f;
+        return std::array<double, 4>{f, g, -2.0 * f * g,
+                                     -2.0 * g * (1.0 - 3.0 * f * f)};
+      });
 }
 
 double Sigmoid::eval(double x, int order) const {
@@ -85,14 +130,15 @@ double Sigmoid::eval(double x, int order) const {
   }
 }
 
-void Sigmoid::eval_orders(double x, int max_order, double* out) const {
-  const double s = logistic(x);
-  const double s1 = s * (1.0 - s);
-  out[0] = s;
-  if (max_order >= 1) out[1] = s1;
-  if (max_order >= 2) out[2] = s1 * (1.0 - 2.0 * s);
-  if (max_order >= 3)
-    out[3] = s1 * (1.0 - 2.0 * s) * (1.0 - 2.0 * s) - 2.0 * s1 * s1;
+void Sigmoid::eval_orders(const double* x, std::size_t n, int max_order,
+                          double* const* out) const {
+  sweep(x, n, max_order, out, logistic_exp, [](double xi, double e) {
+    const double s = logistic_from(xi, e);
+    const double s1 = s * (1.0 - s);
+    return std::array<double, 4>{
+        s, s1, s1 * (1.0 - 2.0 * s),
+        s1 * (1.0 - 2.0 * s) * (1.0 - 2.0 * s) - 2.0 * s1 * s1};
+  });
 }
 
 double Sine::eval(double x, int order) const {
@@ -108,13 +154,18 @@ double Sine::eval(double x, int order) const {
   }
 }
 
-void Sine::eval_orders(double x, int max_order, double* out) const {
+void Sine::eval_orders(const double* x, std::size_t n, int max_order,
+                       double* const* out) const {
   const double w = w0_;
-  const double sn = std::sin(w * x), cs = std::cos(w * x);
-  out[0] = sn;
-  if (max_order >= 1) out[1] = w * cs;
-  if (max_order >= 2) out[2] = -w * w * sn;
-  if (max_order >= 3) out[3] = -w * w * w * cs;
+  sweep(
+      x, n, max_order, out,
+      [w](double xi) {
+        return std::array<double, 2>{std::sin(w * xi), std::cos(w * xi)};
+      },
+      [w](double, std::array<double, 2> sc) {
+        return std::array<double, 4>{sc[0], w * sc[1], -w * w * sc[0],
+                                     -w * w * w * sc[1]};
+      });
 }
 
 double Identity::eval(double x, int order) const {

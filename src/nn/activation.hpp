@@ -21,21 +21,24 @@ class Activation : public tensor::ElementwiseFunction {
 class Silu final : public Activation {
  public:
   double eval(double x, int order) const override;
-  void eval_orders(double x, int max_order, double* out) const override;
+  void eval_orders(const double* x, std::size_t n, int max_order,
+                   double* const* out) const override;
   std::string name() const override { return "silu"; }
 };
 
 class Tanh final : public Activation {
  public:
   double eval(double x, int order) const override;
-  void eval_orders(double x, int max_order, double* out) const override;
+  void eval_orders(const double* x, std::size_t n, int max_order,
+                   double* const* out) const override;
   std::string name() const override { return "tanh"; }
 };
 
 class Sigmoid final : public Activation {
  public:
   double eval(double x, int order) const override;
-  void eval_orders(double x, int max_order, double* out) const override;
+  void eval_orders(const double* x, std::size_t n, int max_order,
+                   double* const* out) const override;
   std::string name() const override { return "sigmoid"; }
 };
 
@@ -44,7 +47,8 @@ class Sine final : public Activation {
  public:
   explicit Sine(double w0 = 1.0) : w0_(w0) {}
   double eval(double x, int order) const override;
-  void eval_orders(double x, int max_order, double* out) const override;
+  void eval_orders(const double* x, std::size_t n, int max_order,
+                   double* const* out) const override;
   std::string name() const override { return "sine"; }
 
  private:

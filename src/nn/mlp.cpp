@@ -1,6 +1,7 @@
 #include "nn/mlp.hpp"
 
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
 #include "util/thread_pool.hpp"
@@ -44,12 +45,10 @@ std::size_t Mlp::num_parameters() const {
 
 Matrix Mlp::forward(const Matrix& x) const {
   Matrix a;
-  if (cfg_.encoding) {
-    std::vector<Matrix> de, d2e;
-    cfg_.encoding->encode(x, 0, a, de, d2e);
-  } else {
+  if (cfg_.encoding)
+    cfg_.encoding->encode(x, a);
+  else
     a = x;
-  }
   const std::size_t n_layers = weights_.size();
   for (std::size_t l = 0; l < n_layers; ++l) {
     Matrix z = tensor::matmul(a, weights_[l]);
@@ -71,7 +70,7 @@ void Mlp::forward_batched(const Matrix& x, Matrix& out, ForwardWorkspace& ws,
   const std::size_t n = x.rows();
   const Matrix* src = &x;
   if (cfg_.encoding) {
-    cfg_.encoding->encode(x, 0, ws.e, ws.de, ws.d2e);
+    cfg_.encoding->encode(x, ws.e);
     src = &ws.e;
   }
   const Activation& act = *cfg_.activation;
@@ -131,31 +130,29 @@ void Mlp::forward_on_tape(Tape& tape, const Binding& binding, const Matrix& x,
     throw std::invalid_argument("Mlp::forward_on_tape: bad n_deriv");
 
   // Encoded inputs and their spatial derivatives are constants on the tape.
-  // The identity path writes them straight into the arena (no staging
-  // matrices), which keeps the steady-state step allocation-free.
-  VarId a = tensor::kNoVar;
+  // The encoding writes them straight into the arena's pooled leaves (no
+  // staging matrices), which keeps the steady-state step allocation-free.
+  static const IdentityEncoding kIdentity;
+  const InputEncoding& encoding =
+      cfg_.encoding ? *cfg_.encoding : kIdentity;
+  const std::size_t width = encoded_dim();
+  const VarId e = tape.constant_uninit(x.rows(), width);
   std::array<VarId, kMaxDeriv> ak{}, hk{};
-  if (!cfg_.encoding) {
-    a = tape.constant(x);
-    for (int k = 0; k < n_deriv; ++k) {
-      ak[k] = tape.constant_uninit(x.rows(), x.cols());
-      Matrix& dv = tape.mutable_value(ak[k]);
-      dv.set_zero();
-      for (std::size_t r = 0; r < dv.rows(); ++r)
-        dv(r, static_cast<std::size_t>(k)) = 1.0;
-      hk[k] = tape.constant_uninit(x.rows(), x.cols());
-      tape.mutable_value(hk[k]).set_zero();
-    }
-  } else {
-    Matrix e;
-    std::vector<Matrix> de, d2e;
-    cfg_.encoding->encode(x, n_deriv, e, de, d2e);
-    a = tape.constant(e);
-    for (int k = 0; k < n_deriv; ++k) {
-      ak[k] = tape.constant(de[k]);
-      hk[k] = tape.constant(d2e[k]);
-    }
+  for (int k = 0; k < n_deriv; ++k) {
+    ak[k] = tape.constant_uninit(x.rows(), width);
+    hk[k] = tape.constant_uninit(x.rows(), width);
   }
+  // Every leaf exists before any slot reference is taken (a new node may
+  // move the arena).
+  std::array<Matrix*, kMaxDeriv> de{}, d2e{};
+  for (int k = 0; k < n_deriv; ++k) {
+    de[k] = &tape.mutable_value(ak[k]);
+    d2e[k] = &tape.mutable_value(hk[k]);
+  }
+  const auto nd = static_cast<std::size_t>(n_deriv);
+  encoding.encode(x, tape.mutable_value(e), std::span(de).first(nd),
+                  std::span(d2e).first(nd));
+  VarId a = e;
 
   const Activation& act = *cfg_.activation;
   const std::size_t n_layers = weights_.size();

@@ -55,8 +55,7 @@ class Mlp {
   /// calls, so the serving steady state allocates nothing).
   struct ForwardWorkspace {
     tensor::Matrix a, z;
-    tensor::Matrix e;
-    std::vector<tensor::Matrix> de, d2e;  ///< encoding scratch (unused)
+    tensor::Matrix e;  ///< encoded input
   };
 
   /// Inference forward of batch `x` (n x input_dim) into `out`

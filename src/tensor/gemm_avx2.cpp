@@ -1,207 +1,40 @@
-// AVX2+FMA build of the GEMM micro-kernels (see gemm_dispatch.hpp). CMake
-// compiles this file with -mavx2 -mfma and defines SGM_GEMM_AVX2_BUILD on
-// x86-64 gcc/clang; elsewhere the stubs at the bottom keep the link
-// satisfied and the dispatcher never selects them.
-//
-// The kernels are written with intrinsics because the generic loop nest in
-// gemm_kernels.inl defeats GCC's SLP vectorizer (scalar FMAs only). The
-// 4 x 8 accumulator tile is 8 ymm registers; every output element is one
-// ymm lane accumulated in strictly ascending p order, and tiles are
-// anchored at absolute row multiples of 4 (the row-chunk grain is a
-// multiple of the tile height), so results are bitwise identical however
-// the row range is split across threads.
-//
-// The scalar edge loops accumulate with std::fma (one vfmadd*sd here, since
-// this TU is compiled with -mfma) so that every element rounds exactly like
-// the fused vector tiles: an element's value must not depend on whether its
-// row landed in a full tile or an edge. A 1-row matrix is all edge; the same
-// row inside a 33-row batch is tiled — the serving engine's batched == single
-// equivalence tests (tests/test_serve.cpp) pin that both agree bitwise.
+// AVX2+FMA build of the fused GEMM micro-kernels: the shared tile body in
+// gemm_tile.inl over 4-wide ymm vectors, a 4 x 8 tile. CMake compiles this
+// file with -mavx2 -mfma -ffp-contract=off and defines SGM_GEMM_X86 on
+// x86-64 gcc/clang; elsewhere it is empty and dispatch never lists it.
 
-#include "tensor/gemm_dispatch.hpp"
-
-namespace sgm::tensor {
-bool gemm_avx2_compiled() {
-#ifdef SGM_GEMM_AVX2_BUILD
-  return true;
-#else
-  return false;
-#endif
-}
-}  // namespace sgm::tensor
-
-#ifdef SGM_GEMM_AVX2_BUILD
+#ifdef SGM_GEMM_X86
 
 #include <immintrin.h>
 
-#include <cmath>
+#include "tensor/gemm_dispatch.hpp"
 
 namespace sgm::tensor::gemm_avx2 {
 
-namespace {
+struct Vec {
+  using Reg = __m256d;
+  using Mask = __m256i;
+  static constexpr std::size_t kWidth = 4;
 
-constexpr std::size_t kMR = 4;
-constexpr std::size_t kNR = 8;
-
-inline void store_vec(double* crow, __m256d lo, __m256d hi, bool accumulate) {
-  if (accumulate) {
-    lo = _mm256_add_pd(_mm256_loadu_pd(crow), lo);
-    hi = _mm256_add_pd(_mm256_loadu_pd(crow + 4), hi);
+  static Reg zero() { return _mm256_setzero_pd(); }
+  static Reg broadcast(double x) { return _mm256_set1_pd(x); }
+  static Reg add(Reg a, Reg b) { return _mm256_add_pd(a, b); }
+  static Reg fmadd(Reg a, Reg b, Reg c) { return _mm256_fmadd_pd(a, b, c); }
+  static Reg load(const double* p) { return _mm256_loadu_pd(p); }
+  static void store(double* p, Reg v) { _mm256_storeu_pd(p, v); }
+  // Lane l is on when l < n (the sign bit of each 64-bit lane selects).
+  static Mask mask(std::size_t n) {
+    return _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(n)),
+                              _mm256_setr_epi64x(0, 1, 2, 3));
   }
-  _mm256_storeu_pd(crow, lo);
-  _mm256_storeu_pd(crow + 4, hi);
-}
-
-inline void store_scalar(double* c, double s, bool accumulate) {
-  if (accumulate)
-    *c += s;
-  else
-    *c = s;
-}
-
-}  // namespace
-
-void gemm_nn_range(const Matrix& a, const Matrix& b, Matrix& c,
-                   std::size_t r0, std::size_t r1, bool accumulate) {
-  const std::size_t k = a.cols(), n = b.cols();
-  std::size_t i = r0;
-  for (; i + kMR <= r1; i += kMR) {
-    const double* a0 = a.row(i);
-    const double* a1 = a.row(i + 1);
-    const double* a2 = a.row(i + 2);
-    const double* a3 = a.row(i + 3);
-    std::size_t j = 0;
-    for (; j + kNR <= n; j += kNR) {
-      __m256d c00 = _mm256_setzero_pd(), c01 = _mm256_setzero_pd();
-      __m256d c10 = _mm256_setzero_pd(), c11 = _mm256_setzero_pd();
-      __m256d c20 = _mm256_setzero_pd(), c21 = _mm256_setzero_pd();
-      __m256d c30 = _mm256_setzero_pd(), c31 = _mm256_setzero_pd();
-      for (std::size_t p = 0; p < k; ++p) {
-        const double* brow = b.row(p) + j;
-        const __m256d b0 = _mm256_loadu_pd(brow);
-        const __m256d b1 = _mm256_loadu_pd(brow + 4);
-        __m256d av = _mm256_set1_pd(a0[p]);
-        c00 = _mm256_fmadd_pd(av, b0, c00);
-        c01 = _mm256_fmadd_pd(av, b1, c01);
-        av = _mm256_set1_pd(a1[p]);
-        c10 = _mm256_fmadd_pd(av, b0, c10);
-        c11 = _mm256_fmadd_pd(av, b1, c11);
-        av = _mm256_set1_pd(a2[p]);
-        c20 = _mm256_fmadd_pd(av, b0, c20);
-        c21 = _mm256_fmadd_pd(av, b1, c21);
-        av = _mm256_set1_pd(a3[p]);
-        c30 = _mm256_fmadd_pd(av, b0, c30);
-        c31 = _mm256_fmadd_pd(av, b1, c31);
-      }
-      store_vec(c.row(i) + j, c00, c01, accumulate);
-      store_vec(c.row(i + 1) + j, c10, c11, accumulate);
-      store_vec(c.row(i + 2) + j, c20, c21, accumulate);
-      store_vec(c.row(i + 3) + j, c30, c31, accumulate);
-    }
-    for (; j < n; ++j) {  // column edge, p-ascending fused per element
-      const double* ar[kMR] = {a0, a1, a2, a3};
-      for (std::size_t ii = 0; ii < kMR; ++ii) {
-        double s = 0.0;
-        for (std::size_t p = 0; p < k; ++p)
-          s = std::fma(ar[ii][p], b.row(p)[j], s);
-        store_scalar(&c(i + ii, j), s, accumulate);
-      }
-    }
-  }
-  for (; i < r1; ++i) {  // row edge
-    const double* arow = a.row(i);
-    for (std::size_t j = 0; j < n; ++j) {
-      double s = 0.0;
-      for (std::size_t p = 0; p < k; ++p)
-        s = std::fma(arow[p], b.row(p)[j], s);
-      store_scalar(&c(i, j), s, accumulate);
-    }
-  }
-}
-
-void gemm_tn_range(const Matrix& a, const Matrix& b, Matrix& c,
-                   std::size_t r0, std::size_t r1, bool accumulate) {
-  const std::size_t k = a.rows(), n = b.cols();
-  std::size_t i = r0;
-  for (; i + kMR <= r1; i += kMR) {
-    std::size_t j = 0;
-    for (; j + kNR <= n; j += kNR) {
-      __m256d c00 = _mm256_setzero_pd(), c01 = _mm256_setzero_pd();
-      __m256d c10 = _mm256_setzero_pd(), c11 = _mm256_setzero_pd();
-      __m256d c20 = _mm256_setzero_pd(), c21 = _mm256_setzero_pd();
-      __m256d c30 = _mm256_setzero_pd(), c31 = _mm256_setzero_pd();
-      for (std::size_t p = 0; p < k; ++p) {
-        const double* arow = a.row(p) + i;
-        const double* brow = b.row(p) + j;
-        const __m256d b0 = _mm256_loadu_pd(brow);
-        const __m256d b1 = _mm256_loadu_pd(brow + 4);
-        __m256d av = _mm256_set1_pd(arow[0]);
-        c00 = _mm256_fmadd_pd(av, b0, c00);
-        c01 = _mm256_fmadd_pd(av, b1, c01);
-        av = _mm256_set1_pd(arow[1]);
-        c10 = _mm256_fmadd_pd(av, b0, c10);
-        c11 = _mm256_fmadd_pd(av, b1, c11);
-        av = _mm256_set1_pd(arow[2]);
-        c20 = _mm256_fmadd_pd(av, b0, c20);
-        c21 = _mm256_fmadd_pd(av, b1, c21);
-        av = _mm256_set1_pd(arow[3]);
-        c30 = _mm256_fmadd_pd(av, b0, c30);
-        c31 = _mm256_fmadd_pd(av, b1, c31);
-      }
-      store_vec(c.row(i) + j, c00, c01, accumulate);
-      store_vec(c.row(i + 1) + j, c10, c11, accumulate);
-      store_vec(c.row(i + 2) + j, c20, c21, accumulate);
-      store_vec(c.row(i + 3) + j, c30, c31, accumulate);
-    }
-    for (; j < n; ++j) {
-      for (std::size_t ii = 0; ii < kMR; ++ii) {
-        double s = 0.0;
-        for (std::size_t p = 0; p < k; ++p)
-          s = std::fma(a.row(p)[i + ii], b.row(p)[j], s);
-        store_scalar(&c(i + ii, j), s, accumulate);
-      }
-    }
-  }
-  for (; i < r1; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      double s = 0.0;
-      for (std::size_t p = 0; p < k; ++p)
-        s = std::fma(a.row(p)[i], b.row(p)[j], s);
-      store_scalar(&c(i, j), s, accumulate);
-    }
-  }
-}
-
-void gemm_nt_range(const Matrix& a, const Matrix& b, Matrix& c,
-                   std::size_t r0, std::size_t r1, bool accumulate) {
-  // The NT shape (strided B access in the reduction) does not vectorize
-  // profitably; the hot backward path avoids it entirely by transposing the
-  // right operand once (pooled scratch) and calling the NN kernel. The
-  // generic build serves the remaining cold callers.
-  gemm_generic::gemm_nt_range(a, b, c, r0, r1, accumulate);
-}
+  static Reg load(const double* p, Mask m) { return _mm256_maskload_pd(p, m); }
+  static void store(double* p, Mask m, Reg v) { _mm256_maskstore_pd(p, m, v); }
+};
 
 }  // namespace sgm::tensor::gemm_avx2
 
-#else
+#define SGM_GEMM_NS gemm_avx2
+#include "tensor/gemm_tile.inl"
+#undef SGM_GEMM_NS
 
-namespace sgm::tensor::gemm_avx2 {
-
-void gemm_nn_range(const Matrix& a, const Matrix& b, Matrix& c,
-                   std::size_t r0, std::size_t r1, bool accumulate) {
-  gemm_generic::gemm_nn_range(a, b, c, r0, r1, accumulate);
-}
-
-void gemm_tn_range(const Matrix& a, const Matrix& b, Matrix& c,
-                   std::size_t r0, std::size_t r1, bool accumulate) {
-  gemm_generic::gemm_tn_range(a, b, c, r0, r1, accumulate);
-}
-
-void gemm_nt_range(const Matrix& a, const Matrix& b, Matrix& c,
-                   std::size_t r0, std::size_t r1, bool accumulate) {
-  gemm_generic::gemm_nt_range(a, b, c, r0, r1, accumulate);
-}
-
-}  // namespace sgm::tensor::gemm_avx2
-
-#endif
+#endif  // SGM_GEMM_X86

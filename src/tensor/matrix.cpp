@@ -2,11 +2,13 @@
 
 #include "tensor/gemm_dispatch.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
-// Baseline-ISA build of the micro-kernels; the AVX2+FMA build lives in
-// gemm_avx2.cpp and runtime dispatch picks between them.
+// Baseline-ISA build of the micro-kernels; the fused vector builds live in
+// gemm_avx2.cpp and gemm_avx512.cpp, and runtime dispatch picks one.
 #define SGM_GEMM_NS gemm_generic
 #include "tensor/gemm_kernels.inl"
 #undef SGM_GEMM_NS
@@ -78,52 +80,56 @@ void check_mul(const Matrix& a, const Matrix& b, std::size_t ak,
                                 std::to_string(b.rows()) + "x" +
                                 std::to_string(b.cols()) + ")");
 }
-}  // namespace
 
-namespace {
-
-using GemmFn = void (*)(const Matrix&, const Matrix&, Matrix&, std::size_t,
-                        std::size_t, bool);
-
-struct GemmKernels {
-  GemmFn nn, tn, nt;
-};
-
-GemmKernels select_gemm_kernels() {
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  if (gemm_avx2_compiled() && __builtin_cpu_supports("avx2") &&
-      __builtin_cpu_supports("fma"))
-    return {gemm_avx2::gemm_nn_range, gemm_avx2::gemm_tn_range,
-            gemm_avx2::gemm_nt_range};
+std::vector<GemmBuild> make_gemm_builds() {
+  std::vector<GemmBuild> builds;
+#ifdef SGM_GEMM_X86
+  // The CPU checks run here, in a baseline-ISA TU: nothing compiled with
+  // -mavx* executes before its build is known to be supported.
+  __builtin_cpu_init();
+  const bool fma = __builtin_cpu_supports("fma");
+  builds.push_back({"avx512", true,
+                    fma && __builtin_cpu_supports("avx512f"),
+                    gemm_avx512::gemm_nn_range, gemm_avx512::gemm_tn_range,
+                    gemm_generic::gemm_nt_range});
+  builds.push_back({"avx2", true, fma && __builtin_cpu_supports("avx2"),
+                    gemm_avx2::gemm_nn_range, gemm_avx2::gemm_tn_range,
+                    gemm_generic::gemm_nt_range});
 #endif
-  return {gemm_generic::gemm_nn_range, gemm_generic::gemm_tn_range,
-          gemm_generic::gemm_nt_range};
-}
-
-const GemmKernels& gemm_kernels() {
-  static const GemmKernels k = select_gemm_kernels();
-  return k;
+  builds.push_back({"generic", false, true, gemm_generic::gemm_nn_range,
+                    gemm_generic::gemm_tn_range, gemm_generic::gemm_nt_range});
+  return builds;
 }
 
 }  // namespace
 
-bool gemm_avx2_active() {
-  return gemm_kernels().nn == &gemm_avx2::gemm_nn_range;
+std::span<const GemmBuild> gemm_builds() {
+  static const std::vector<GemmBuild> builds = make_gemm_builds();
+  return builds;
+}
+
+const GemmBuild& gemm_build() {
+  static const GemmBuild* const selected = [] {
+    const std::span<const GemmBuild> builds = gemm_builds();
+    return &*std::find_if(builds.begin(), builds.end(),
+                          [](const GemmBuild& b) { return b.available; });
+  }();
+  return *selected;
 }
 
 void gemm_nn(const Matrix& a, const Matrix& b, Matrix& c, std::size_t r0,
              std::size_t r1, bool accumulate) {
-  gemm_kernels().nn(a, b, c, r0, r1, accumulate);
+  gemm_build().nn(a, b, c, r0, r1, accumulate);
 }
 
 void gemm_tn(const Matrix& a, const Matrix& b, Matrix& c, std::size_t r0,
              std::size_t r1, bool accumulate) {
-  gemm_kernels().tn(a, b, c, r0, r1, accumulate);
+  gemm_build().tn(a, b, c, r0, r1, accumulate);
 }
 
 void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c, std::size_t r0,
              std::size_t r1, bool accumulate) {
-  gemm_kernels().nt(a, b, c, r0, r1, accumulate);
+  gemm_build().nt(a, b, c, r0, r1, accumulate);
 }
 
 void matmul_accumulate(const Matrix& a, const Matrix& b, Matrix& c) {

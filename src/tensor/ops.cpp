@@ -262,20 +262,13 @@ VarId activation(Tape& t, VarId z, const ElementwiseFunction& f, int orders) {
   n.value.resize(zv.rows(), zv.cols());
   for (int k = 0; k < orders; ++k) n.aux[k].resize(zv.rows(), zv.cols());
   const double* zp = zv.data();
-  double* out0 = n.value.data();
-  double* out1 = n.aux[0].data();
-  double* out2 = orders >= 2 ? n.aux[1].data() : nullptr;
-  double* out3 = orders >= 3 ? n.aux[2].data() : nullptr;
+  double* out[4] = {n.value.data()};
+  for (int k = 0; k < orders; ++k) out[k + 1] = n.aux[k].data();
   t.parallel_range(zv.size(), Tape::kTranscendentalWork,
                    [&](std::size_t b0, std::size_t e) {
-                     double buf[4];
-                     for (std::size_t i = b0; i < e; ++i) {
-                       f.eval_orders(zp[i], orders, buf);
-                       out0[i] = buf[0];
-                       out1[i] = buf[1];
-                       if (out2) out2[i] = buf[2];
-                       if (out3) out3[i] = buf[3];
-                     }
+                     double* chunk[4] = {};
+                     for (int k = 0; k <= orders; ++k) chunk[k] = out[k] + b0;
+                     f.eval_orders(zp + b0, e - b0, orders, chunk);
                    });
   return id;
 }

@@ -21,11 +21,15 @@ class ElementwiseFunction {
   /// d^order f / dx^order at x.
   virtual double eval(double x, int order) const = 0;
 
-  /// Fills out[k] = d^k f / dx^k for k = 0..max_order in one call, letting
-  /// implementations share subexpressions (e.g. a single logistic() for the
-  /// whole SiLU derivative ladder). The default just loops eval().
-  virtual void eval_orders(double x, int max_order, double* out) const {
-    for (int k = 0; k <= max_order; ++k) out[k] = eval(x, k);
+  /// The derivative ladder over an array: out[k][i] = d^k f / dx^k at x[i]
+  /// for k = 0..max_order and i < n, bit for bit what eval(x[i], k)
+  /// returns. One call per array lets implementations share subexpressions
+  /// (one logistic per element for the whole SiLU ladder) and vectorize the
+  /// arithmetic around their libm calls. The default loops eval().
+  virtual void eval_orders(const double* x, std::size_t n, int max_order,
+                           double* const* out) const {
+    for (std::size_t i = 0; i < n; ++i)
+      for (int k = 0; k <= max_order; ++k) out[k][i] = eval(x[i], k);
   }
 };
 
@@ -59,8 +63,8 @@ VarId affine(Tape& t, VarId a, VarId w, VarId b);
 VarId apply(Tape& t, VarId a, const ElementwiseFunction& f, int order = 0);
 
 /// Fused activation sweep: value = f(z), with f', ..., f^(orders) recorded
-/// as auxiliary buffers in the SAME single pass over z (one eval_orders call
-/// per element). orders must be 1..3: backward of the value needs f'; the
+/// as auxiliary buffers in the SAME sweep over z (one eval_orders call per
+/// chunk). orders must be 1..3: backward of the value needs f'; the
 /// act_chain / act_curve consumers additionally need f''/f''' (orders >= 2
 /// and 3 respectively). Returns the value node.
 VarId activation(Tape& t, VarId z, const ElementwiseFunction& f, int orders);

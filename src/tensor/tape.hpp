@@ -15,9 +15,9 @@
 //  * nodes live in a bump arena: clear() resets the node count but keeps
 //    every node's value/grad/aux Matrix buffers, so a tape reused across
 //    training steps re-records the same graph into the same buffers with
-//    ZERO heap allocations in steady state (asserted by tests; input
-//    encodings other than identity still stage their encode() outputs
-//    outside the arena);
+//    ZERO heap allocations in steady state (asserted by tests for the
+//    registered Fourier-encoded networks too: encodings write into the
+//    arena's pooled leaves);
 //  * kernels fan out over util::ThreadPool by work, not by rows: a loop is
 //    cut into chunks of at least kWorkFloor FMA-equivalents and runs inline
 //    when fewer than two result, so num_threads is an upper bound. A
@@ -163,15 +163,18 @@ class Tape {
   /// Least work one chunk carries. A fan-out costs ~50 µs of process CPU
   /// (task hand-off and worker wake-ups); 2^20 FMAs take ~75 µs at the
   /// GEMM kernel's ~14 GFMA/s on one AVX2 core, so a chunk carries more
-  /// than handing it out costs.
+  /// than handing it out costs. The work unit stays the AVX2 FMA: on an
+  /// AVX-512 core, where the 4 x 16 tile runs ~20–30 GFMA/s, a floor's
+  /// GEMM chunk takes ~35–50 µs, about one fan-out (docs/BENCHMARKS.md).
   static constexpr std::size_t kWorkFloor = std::size_t{1} << 20;
   /// Work per element of a pointwise loop (a few loads and a store). A
   /// loop long enough to split has left L2, where an element costs ~1 ns,
   /// ~12 FMA times, and the fused act_* loops read up to five arrays.
   static constexpr std::size_t kPointwiseWork = 16;
   /// Work per element of an ElementwiseFunction sweep (apply, and the
-  /// f..f''' ladder of activation): ~20–27 ns, 250–350 FMA times.
-  static constexpr std::size_t kTranscendentalWork = 256;
+  /// f..f''' ladder of activation): ~11–13 ns, dominated by one libm call,
+  /// ~150–180 FMA times.
+  static constexpr std::size_t kTranscendentalWork = 160;
 
  private:
   VarId alloc_node();

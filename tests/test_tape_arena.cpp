@@ -129,19 +129,11 @@ TEST(TapeArena, GradOfUntouchedNodeIsEmptyAfterReuse) {
 
 // Heap allocations over five steady-state training iterations after three
 // warm-up ones: clear, bind, forward with second derivatives, loss,
-// backward, grad collection, Adam. Identity encoding: a FourierEncoding
-// stages its encode() outputs outside the arena by design.
-std::uint64_t steady_state_step_allocs(std::size_t rows, std::size_t width,
-                                       std::size_t depth,
+// backward, grad collection, Adam.
+std::uint64_t steady_state_step_allocs(const MlpConfig& cfg, const Matrix& x,
                                        std::size_t threads) {
-  MlpConfig cfg;
-  cfg.input_dim = 2;
-  cfg.output_dim = 1;
-  cfg.width = width;
-  cfg.depth = depth;
   sgm::util::Rng rng(7);
   Mlp net(cfg, rng);
-  const Matrix x = random_matrix(rows, 2, rng);
   sgm::nn::Adam adam(1e-3);
   const std::vector<Matrix*> params = net.parameters();
 
@@ -169,10 +161,23 @@ std::uint64_t steady_state_step_allocs(std::size_t rows, std::size_t width,
   return scope.count();
 }
 
+// An identity-encoded 2-input, 1-output network.
+std::uint64_t identity_net_step_allocs(std::size_t rows, std::size_t width,
+                                       std::size_t depth,
+                                       std::size_t threads) {
+  MlpConfig cfg;
+  cfg.input_dim = 2;
+  cfg.output_dim = 1;
+  cfg.width = width;
+  cfg.depth = depth;
+  sgm::util::Rng rng(8);
+  return steady_state_step_allocs(cfg, random_matrix(rows, 2, rng), threads);
+}
+
 TEST(TapeArena, SteadyStateTrainingStepAllocatesNothing) {
   // After warm-up, a full training iteration's tape/forward/backward path
   // performs ZERO heap allocations.
-  EXPECT_EQ(steady_state_step_allocs(32, 16, 3, 1), 0u)
+  EXPECT_EQ(identity_net_step_allocs(32, 16, 3, 1), 0u)
       << "steady-state training step performed heap allocations";
 }
 
@@ -180,8 +185,37 @@ TEST(TapeArena, RegisteredStepShapeAllocatesNothingAtFourThreads) {
   // The registered scenarios' step shape (128 rows, width 48, depth 4) is
   // below the work floor in every kernel, so it runs inline at 4 threads
   // and never enqueues a pool task, each of which would allocate.
-  EXPECT_EQ(steady_state_step_allocs(128, 48, 4, 4), 0u)
+  EXPECT_EQ(identity_net_step_allocs(128, 48, 4, 4), 0u)
       << "registered-shape step at 4 threads performed heap allocations";
+}
+
+// The registered kFull network of `scenario` (Fourier features included)
+// on its first batch_size interior points, at 1 and 4 threads: the
+// encoding writes into the tape's pooled leaves, so the step allocates
+// nothing either.
+void expect_registered_step_allocates_nothing(const char* scenario) {
+  const sgm::pinn::ScenarioConfig cfg =
+      sgm::pinn::ScenarioRegistry::instance().make(
+          scenario, sgm::pinn::ScenarioScale::kFull);
+  ASSERT_NE(cfg.net.encoding, nullptr) << scenario;
+  const Matrix& cloud = cfg.problem->interior_points();
+  const std::size_t rows = cfg.trainer.batch_size;
+  ASSERT_LE(rows, cloud.rows());
+  Matrix x(rows, cloud.cols());
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t c = 0; c < cloud.cols(); ++c) x(r, c) = cloud(r, c);
+  for (std::size_t threads : {1, 4})
+    EXPECT_EQ(steady_state_step_allocs(cfg.net, x, threads), 0u)
+        << scenario << " step at " << threads
+        << " threads performed heap allocations";
+}
+
+TEST(TapeArena, RegisteredLdcStepAllocatesNothing) {
+  expect_registered_step_allocates_nothing("ldc_zeroeq");
+}
+
+TEST(TapeArena, RegisteredAnnulusStepAllocatesNothing) {
+  expect_registered_step_allocates_nothing("annular_ring_param");
 }
 
 // Bytes one pointwise_residual call allocates for the first `n` points of

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <string>
 
 #include "nn/activation.hpp"
 #include "tensor/gemm_dispatch.hpp"
@@ -309,21 +310,20 @@ TEST(Ops, ShapeErrorsThrow) {
 }
 
 // ------------------------------------------------- FP contraction guard --
-// The GEMM determinism contract (gemm_kernels.inl) requires every path —
-// tile loops, row edges, column edges, AVX2 and generic builds of the same
-// source — to apply ONE rounding regime uniformly. The kernel TUs are
-// compiled with -ffp-contract=off, but gcc 12 still emits FMA for these
-// reduction loops when -mfma is enabled (vfmadd231sd in the scalar edge
-// loops and vfmadd231pd in the tile loops of the AVX2 TU), while clang
-// honors the flag and rounds mul and add separately. Both regimes are
-// deterministic; what breaks bitwise batched≡single inference is a MIX —
-// e.g. a vectorized body that contracts while its scalar epilogue does not,
-// the exact bug class PR 6 fixed by hand. These tests therefore pin, with
+// The GEMM determinism contract (gemm_dispatch.hpp) requires every path of
+// a build — full tiles, row edges, column edges — to apply ONE rounding
+// regime uniformly: the fused builds (gemm_tile.inl) one FMA chain per
+// element, the generic build (gemm_kernels.inl) a separate rounding per
+// mul and add. Both regimes are deterministic; what breaks bitwise
+// batched≡single inference is a MIX — e.g. a vectorized body that contracts
+// while its scalar epilogue does not, a bug the serving engine's
+// batched≡single tests once caught. These tests therefore pin, with
 // bitwise comparisons, that (a) the edge path matches either the
-// separate-rounding chain or the std::fma chain for EVERY element — never a
-// blend — and (b) tile and edge paths agree bitwise. This TU is itself
-// built with -ffp-contract=off (CMakeLists) so the `plain` reference loop
-// below rounds each step separately.
+// separate-rounding chain or the std::fma chain for EVERY element — never
+// a blend — and the one its build declares, (b) tile and edge paths agree
+// bitwise, and (c) every build the CPU supports equals its reference chain
+// over every edge shape. This TU is itself built with -ffp-contract=off
+// (CMakeLists) so the `plain` reference loops round each step separately.
 
 bool bits_equal(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
@@ -360,10 +360,12 @@ TEST(GemmContraction, RowEdgeRoundingIsUniformAndPinned) {
   // means the compiler contracted only part of the edge loop — the
   // determinism contract is broken and the kernel flags need attention.
   EXPECT_TRUE(all_plain || all_fused)
-      << "edge path mixes contracted and separate rounding "
-      << "(gemm_avx2_active=" << sgm::tensor::gemm_avx2_active() << ")";
-  // The two regimes disagree on at least one element, so exactly one holds.
+      << "edge path mixes contracted and separate rounding (gemm build "
+      << sgm::tensor::gemm_build().name << ")";
+  // The two regimes disagree on at least one element, so exactly one holds,
+  // and it is the one the selected build declares.
   EXPECT_NE(all_plain, all_fused);
+  EXPECT_EQ(all_fused, sgm::tensor::gemm_build().fused);
 }
 
 TEST(GemmContraction, TileAndEdgePathsAgreeBitwise) {
@@ -389,10 +391,108 @@ TEST(GemmContraction, TileAndEdgePathsAgreeBitwise) {
           << " rounds differently from the single-row edge path";
 }
 
-TEST(GemmContraction, Avx2DispatchConsistent) {
-  if (!sgm::tensor::gemm_avx2_compiled()) {
-    EXPECT_FALSE(sgm::tensor::gemm_avx2_active());
+TEST(GemmContraction, DispatchSelectsFirstAvailableBuild) {
+  const auto builds = sgm::tensor::gemm_builds();
+  ASSERT_FALSE(builds.empty());
+  EXPECT_STREQ(builds.back().name, "generic");
+  EXPECT_TRUE(builds.back().available);
+  EXPECT_FALSE(builds.back().fused);
+  const sgm::tensor::GemmBuild* first = nullptr;
+  for (const auto& b : builds)
+    if (!first && b.available) first = &b;
+  EXPECT_EQ(&sgm::tensor::gemm_build(), first);
+}
+
+// ---------------------------------------------------- per-build bitwise --
+// Every kernel build against its per-element reference chain, bit for bit:
+// a fused build must give exactly s = fma(A(i,p), B(p,j), s) over ascending
+// p from 0, the generic build s = s + A(i,p) * B(p,j), whatever tile, masked
+// column edge or row edge the element falls in. Accumulation adds the chain
+// to the prior C. Since both fused builds equal the same chain, the AVX2 and
+// AVX-512 builds agree bitwise.
+
+class GemmBuildBitwise : public ::testing::TestWithParam<const char*> {
+ protected:
+  // The build under test; skips when this binary or CPU lacks it.
+  const sgm::tensor::GemmBuild* build() {
+    for (const auto& b : sgm::tensor::gemm_builds()) {
+      if (std::string(b.name) != GetParam()) continue;
+      if (b.available) return &b;
+      break;
+    }
+    return nullptr;
+  }
+
+  // C = op(A) * B through `b`, on and off accumulate, with op(A) = A (NN)
+  // or A^T (TN), for output rows [0, m) split at `split`, checked against
+  // the reference chain element by element.
+  void check(const sgm::tensor::GemmBuild& b, bool tn, std::size_t m,
+             std::size_t k, std::size_t n, std::size_t split,
+             sgm::util::Rng& rng) {
+    const Matrix a = tn ? random_matrix(k, m, rng) : random_matrix(m, k, rng);
+    const Matrix bm = random_matrix(k, n, rng);
+    const Matrix c0 = random_matrix(m, n, rng);
+    for (bool accumulate : {false, true}) {
+      Matrix c = c0;
+      const auto kernel = tn ? b.tn : b.nn;
+      kernel(a, bm, c, 0, split, accumulate);
+      kernel(a, bm, c, split, m, accumulate);
+      for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+          double s = 0.0;
+          for (std::size_t p = 0; p < k; ++p) {
+            const double av = tn ? a(p, i) : a(i, p);
+            s = b.fused ? std::fma(av, bm(p, j), s) : s + av * bm(p, j);
+          }
+          const double want = accumulate ? c0(i, j) + s : s;
+          ASSERT_TRUE(bits_equal(c(i, j), want))
+              << b.name << (tn ? " TN " : " NN ") << m << "x" << k << "x"
+              << n << " split " << split << " accumulate " << accumulate
+              << " at (" << i << ", " << j << ")";
+        }
+      }
+    }
+  }
+};
+
+TEST_P(GemmBuildBitwise, EdgesMatchTheReferenceChain) {
+  const sgm::tensor::GemmBuild* b = build();
+  if (!b) GTEST_SKIP() << "CPU or build lacks the " << GetParam() << " kernels";
+  sgm::util::Rng rng(31);
+  // Column remainders 1-15 past zero, one and two 16-wide tiles (so both
+  // the 8- and 16-wide tiles see every remainder), row remainders 1-3 past
+  // zero and one 4-row block, and row ranges split off the 4-row grid; an
+  // empty reduction (k = 0) must write zeros or leave C as it was.
+  for (bool tn : {false, true}) {
+    for (std::size_t k : {0, 7}) {
+      for (std::size_t m : {1, 2, 3, 4, 5, 6, 7, 9}) {
+        for (std::size_t n = 1; n <= 47; ++n) {
+          check(*b, tn, m, k, n, m / 2, rng);
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
   }
 }
+
+TEST_P(GemmBuildBitwise, RegisteredStepShapesMatchTheReferenceChain) {
+  const sgm::tensor::GemmBuild* b = build();
+  if (!b) GTEST_SKIP() << "CPU or build lacks the " << GetParam() << " kernels";
+  sgm::util::Rng rng(37);
+  // The registered width-48 step's GEMMs (128-row batch, 26 Fourier
+  // features): the output layer and its weight gradient, the first layer's
+  // weight gradient, and the hidden layers' forward and weight gradient.
+  check(*b, /*tn=*/false, 128, 48, 3, 0, rng);
+  check(*b, /*tn=*/true, 48, 128, 3, 0, rng);
+  check(*b, /*tn=*/true, 26, 128, 48, 0, rng);
+  check(*b, /*tn=*/false, 128, 48, 48, 0, rng);
+  check(*b, /*tn=*/true, 48, 128, 48, 0, rng);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBuilds, GemmBuildBitwise,
+                         ::testing::Values("avx512", "avx2", "generic"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
 
 }  // namespace
