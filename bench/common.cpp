@@ -52,7 +52,7 @@ double ArmResult::time_to(const std::string& metric, double threshold) const {
 namespace {
 
 std::unique_ptr<samplers::Sampler> make_sampler(
-    const pinn::PinnProblem& problem, const Arm& arm, std::uint64_t seed) {
+    const pinn::PinnProblem& problem, const Arm& arm) {
   const auto n =
       static_cast<std::uint32_t>(problem.interior_points().rows());
   switch (arm.kind) {
@@ -65,7 +65,6 @@ std::unique_ptr<samplers::Sampler> make_sampler(
     case SamplerKind::kSgmS: {
       core::SgmOptions opt = arm.sgm;
       opt.use_isr = (arm.kind == SamplerKind::kSgmS);
-      opt.seed = seed * 7919 + 13;
       opt.num_threads = bench_threads(opt.num_threads);
       return std::make_unique<core::SgmSampler>(problem.interior_points(),
                                                 opt);
@@ -91,7 +90,7 @@ ArmResult run_arm(const pinn::PinnProblem& problem, const Arm& arm,
   for (int s = 0; s < seeds; ++s) {
     util::Rng net_rng(1000 + s);  // same init across arms for seed s
     nn::Mlp net(net_cfg, net_rng);
-    auto sampler = make_sampler(problem, arm, 100 + s);
+    auto sampler = make_sampler(problem, arm);
 
     pinn::TrainerOptions topt;
     topt.batch_size = arm.batch_size;

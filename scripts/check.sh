@@ -4,18 +4,17 @@
 #                    [build-dir]             (extra CMake args via CMAKE_ARGS)
 #
 # Default runs every ctest suite. --tier1 runs only the fast unit/property
-# suites (label tier1), which include the incremental-refresh equivalence
-# harness (test_incremental_refresh); --tier2 runs the end-to-end scenario
-# regression harness (label tier2), which trains every scenario's SGM arm
-# AND its incremental-refresh configuration at num_threads=1 and =4 and
-# asserts the histories are byte-identical.
-# --bench builds Release and runs the train-step benchmark, the
-# refresh-path benchmark (arms smoothed_stale and smoothed_strict: smoothed
-# ER with and without stale-ER amortization) and the serving-engine
-# benchmark with SGM_BENCH_JSON=1, leaving BENCH_train_step.json,
-# BENCH_incremental_refresh.json and BENCH_serve.json in the build dir
-# (the perf-smoke / serve-smoke CI jobs do the same; compare against
-# bench/baselines/).
+# suites (label tier1); --tier2 runs the end-to-end scenario regression
+# harness (label tier2), which trains every scenario's SGM arm AND its
+# output-weighted-rebuild arm at num_threads=1 and =4 and asserts the
+# histories are byte-identical.
+# --bench builds Release and runs the train-step benchmark, the full S1/S2
+# rebuild benchmark (bench_overhead_sampling's GraphRebuildTauG rows: kNN
+# PGM + ER embedding + LRD merge at 4k-50k points, 1 and 4 threads) and the
+# serving-engine benchmark with SGM_BENCH_JSON=1, leaving
+# BENCH_train_step.json, BENCH_overhead_sampling.json and BENCH_serve.json
+# in the build dir (the perf-smoke / serve-smoke CI jobs do the same;
+# compare against bench/baselines/).
 # --lint runs the determinism lint (self-test first, then the tree) without
 # building anything. --asan builds with SGM_ASAN=ON into <build-dir>-asan and
 # runs tier1 under AddressSanitizer+UBSan. --tidy runs clang-tidy over src/
@@ -80,8 +79,9 @@ if [[ "$TIER" == "bench" ]]; then
   fi
   (cd "$BUILD_DIR" && SGM_BENCH_JSON=1 ./bench_train_step)
   echo "Wrote $BUILD_DIR/BENCH_train_step.json"
-  (cd "$BUILD_DIR" && SGM_BENCH_JSON=1 ./bench_incremental_refresh)
-  echo "Wrote $BUILD_DIR/BENCH_incremental_refresh.json"
+  (cd "$BUILD_DIR" && SGM_BENCH_JSON=1 ./bench_overhead_sampling \
+    --benchmark_filter=GraphRebuildTauG)
+  echo "Wrote $BUILD_DIR/BENCH_overhead_sampling.json"
   (cd "$BUILD_DIR" && SGM_BENCH_JSON=1 ./bench_serve)
   echo "Wrote $BUILD_DIR/BENCH_serve.json"
 elif [[ "$TIER" == "tidy" ]]; then

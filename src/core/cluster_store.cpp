@@ -6,15 +6,9 @@
 
 namespace sgm::core {
 
-ClusterStore::ClusterStore(graph::Clustering clustering) {
-  rebuild(std::move(clustering));
-}
-
-void ClusterStore::rebuild(graph::Clustering clustering) {
-  clustering_ = std::move(clustering);
-  // Clear-then-resize keeps each member vector's capacity across rebuilds.
-  for (auto& m : members_) m.clear();
-  members_.resize(clustering_.num_clusters);
+ClusterStore::ClusterStore(graph::Clustering clustering)
+    : clustering_(std::move(clustering)),
+      members_(clustering_.num_clusters) {
   for (std::uint32_t v = 0; v < clustering_.node_cluster.size(); ++v)
     members_[clustering_.node_cluster[v]].push_back(v);
 }

@@ -17,11 +17,6 @@ class ClusterStore {
   ClusterStore() = default;
   explicit ClusterStore(graph::Clustering clustering);
 
-  /// Replaces the clustering in place, reusing the member-list storage from
-  /// the previous one (the incremental refresh path swaps clusterings every
-  /// tau_G; keeping the vectors' capacity makes the swap allocation-light).
-  void rebuild(graph::Clustering clustering);
-
   std::uint32_t num_clusters() const { return clustering_.num_clusters; }
   std::uint32_t num_nodes() const {
     return static_cast<std::uint32_t>(clustering_.node_cluster.size());

@@ -3,40 +3,15 @@
 // tau_e iterations, the graph + clustering rebuild every tau_G iterations.
 // Kept as its own small class so the schedule semantics are testable apart
 // from the sampler.
-//
-// The rebuild cadence is *dirty-fraction aware*: callers may feed the
-// scheduler the latest observed dirty fraction (the share of sample points
-// whose residuals/outputs drifted beyond threshold — see core/dirty_tracker
-// and the incremental refresh engine). A hot signal shortens the effective
-// rebuild period, a cold one may stretch it. The cadence remains a pure
-// function of iteration numbers and observed fractions — never wall-clock
-// time — and with no signal observed it is exactly the legacy fixed-tau_G
-// schedule.
 
 #include <cstdint>
 
 namespace sgm::core {
 
-/// How the observed dirty fraction modulates the rebuild period.
-struct RefreshCadence {
-  /// Signal >= hot_fraction shrinks the effective period to
-  /// max(1, tau_g / hot_divisor): the clustering is going stale faster than
-  /// the fixed cadence assumed.
-  double hot_fraction = 0.5;
-  std::uint64_t hot_divisor = 4;
-  /// Signal <= cold_fraction stretches the period to tau_g * cold_multiplier
-  /// (rebuilding an unchanged graph is pure overhead). Disabled by default:
-  /// the sentinel cold_fraction < 0 can never trigger on a fraction in
-  /// [0, 1].
-  double cold_fraction = -1.0;
-  std::uint64_t cold_multiplier = 1;
-};
-
 class RefreshScheduler {
  public:
-  RefreshScheduler(std::uint64_t tau_e, std::uint64_t tau_g,
-                   RefreshCadence cadence = {})
-      : tau_e_(tau_e), tau_g_(tau_g), cadence_(cadence) {}
+  RefreshScheduler(std::uint64_t tau_e, std::uint64_t tau_g)
+      : tau_e_(tau_e), tau_g_(tau_g) {}
 
   /// True when the score/epoch refresh (lines 5-10) should run at
   /// `iteration`. Fires at iteration 0 and every tau_e thereafter.
@@ -48,43 +23,13 @@ class RefreshScheduler {
   }
 
   /// True when the PGM + LRD rebuild (lines 14-18) should run. Does not
-  /// fire at iteration 0 (the initial build happens at construction). The
-  /// period is effective_tau_g(): tau_g modulated by the latest observed
-  /// dirty fraction.
+  /// fire at iteration 0 (the initial build happens at construction).
   bool should_rebuild(std::uint64_t iteration) {
     if (tau_g_ == 0) return false;
-    if (iteration == 0 || iteration - last_rebuild_ < effective_tau_g())
-      return false;
+    if (iteration == 0 || iteration - last_rebuild_ < tau_g_) return false;
     last_rebuild_ = iteration;
     return true;
   }
-
-  /// Records the latest dirty-fraction signal (clamped into [0, 1]).
-  /// Negative values clear the signal back to the legacy fixed cadence.
-  void observe_dirty_fraction(double fraction) {
-    if (fraction < 0.0) {
-      has_signal_ = false;
-      return;
-    }
-    has_signal_ = true;
-    dirty_fraction_ = fraction > 1.0 ? 1.0 : fraction;
-  }
-
-  /// The rebuild period currently in force.
-  std::uint64_t effective_tau_g() const {
-    if (!has_signal_ || tau_g_ == 0) return tau_g_;
-    if (dirty_fraction_ >= cadence_.hot_fraction && cadence_.hot_divisor > 1) {
-      const std::uint64_t accel = tau_g_ / cadence_.hot_divisor;
-      return accel > 0 ? accel : 1;
-    }
-    if (dirty_fraction_ <= cadence_.cold_fraction &&
-        cadence_.cold_multiplier > 1)
-      return tau_g_ * cadence_.cold_multiplier;
-    return tau_g_;
-  }
-
-  bool has_dirty_signal() const { return has_signal_; }
-  double dirty_fraction() const { return dirty_fraction_; }
 
   std::uint64_t tau_e() const { return tau_e_; }
   std::uint64_t tau_g() const { return tau_g_; }
@@ -92,12 +37,9 @@ class RefreshScheduler {
  private:
   std::uint64_t tau_e_;
   std::uint64_t tau_g_;
-  RefreshCadence cadence_;
   std::uint64_t last_score_ = 0;
   std::uint64_t last_rebuild_ = 0;
   bool scored_ = false;
-  bool has_signal_ = false;
-  double dirty_fraction_ = 0.0;
 };
 
 }  // namespace sgm::core

@@ -3,9 +3,8 @@
 // samplers::Sampler so the trainer can A/B it against uniform and MIS.
 //
 // Pipeline per refresh (every tau_e iterations):
-//   S1/S2 (every tau_G)  rebuild kNN PGM + LRD clusters (optionally on a
-//                        background thread, optionally folding the model
-//                        outputs into the graph metric);
+//   S1/S2 (every tau_G)  rebuild kNN PGM + LRD clusters (optionally
+//                        folding the model outputs into the graph metric);
 //   line 5-6             draw r% representatives per cluster, evaluate
 //                        their current losses via the trainer callback;
 //   S3 (optional)        ISR stability scores on the same representative
@@ -16,14 +15,11 @@
 //                        deal shuffled mini-batches from it until the next
 //                        refresh.
 
+#include <functional>
 #include <memory>
-#include <optional>
 
-#include "core/async_rebuild.hpp"
 #include "core/cluster_store.hpp"
-#include "core/dirty_tracker.hpp"
 #include "core/epoch_builder.hpp"
-#include "core/incremental_refresh.hpp"
 #include "core/pgm.hpp"
 #include "core/refresh_scheduler.hpp"
 #include "core/scorer.hpp"
@@ -45,7 +41,6 @@ struct SgmOptions {
   spade::IsrOptions isr{};          ///< S3 configuration
   /// kNN size for the representative-subset input graph used by ISR.
   std::size_t isr_subset_k = 8;
-  bool async_rebuild = false;       ///< rebuild S1/S2 on a worker thread
   /// When rebuilding, append current outputs to the PGM metric with this
   /// weight (0 keeps the metric purely spatial).
   double rebuild_output_weight = 0.0;
@@ -53,40 +48,8 @@ struct SgmOptions {
   /// embedding). Nonzero overrides pgm.num_threads / lrd.num_threads; 0
   /// defers to them (whose own 0 means util::resolve_threads default, i.e.
   /// hardware concurrency). 1 = serial; every value produces an identical
-  /// PGM and clustering for a fixed seed.
+  /// PGM and clustering (S2's random draws come from lrd.er.seed).
   std::size_t num_threads = 0;
-  std::uint64_t seed = 2024;
-
-  // --- Incremental refresh (core/incremental_refresh) --------------------
-  /// When true, S1/S2 rebuilds run through the IncrementalRefreshEngine:
-  /// only points whose output features drifted beyond dirty_tolerance are
-  /// re-inserted into the kNN graph, ER re-sweeps are localized around
-  /// the changed edges, and the engine falls back to a full rebuild when
-  /// the dirty fraction exceeds incremental_threshold.
-  /// Meaningful together with rebuild_output_weight > 0 and an outputs
-  /// provider; with a purely spatial metric nothing ever drifts and every
-  /// rebuild after the first becomes a (cheap) no-op — which is the win.
-  bool incremental_refresh = false;
-  /// Dirty fraction above which the engine rebuilds from scratch. Negative
-  /// forces the full path every refresh (the equivalence-test baseline);
-  /// >= 1 never falls back.
-  double incremental_threshold = 0.30;
-  /// Relative per-feature drift that makes a point dirty (0 = any bitwise
-  /// change; exact-equivalence setting).
-  double dirty_tolerance = 0.0;
-  /// Stale-ER amortization ratio (see IncrementalRefreshOptions::
-  /// er_stale_ratio): cumulative changed-edge fraction tolerated before an
-  /// exact ER resync. 0 = resync every rebuild (strict equivalence).
-  double er_stale_ratio = 0.0;
-  /// Dirty-fraction-aware rebuild cadence: the engine's measured dirty
-  /// fraction (at rebuilds) and the representative-loss drift (between
-  /// them, see loss_dirty_tolerance) modulate the effective tau_G. Only
-  /// active when incremental_refresh is on; the legacy fixed cadence is
-  /// untouched otherwise.
-  RefreshCadence cadence{};
-  /// Relative representative-loss drift that counts a point dirty for the
-  /// cadence signal.
-  double loss_dirty_tolerance = 0.25;
 };
 
 class SgmSampler final : public samplers::Sampler {
@@ -94,11 +57,6 @@ class SgmSampler final : public samplers::Sampler {
   /// `points` must outlive the sampler. Builds the initial PGM + clusters
   /// eagerly (the paper does this before training starts).
   SgmSampler(const tensor::Matrix& points, const SgmOptions& options);
-
-  /// Joins any in-flight async rebuild BEFORE members destruct: the worker
-  /// job holds a raw pointer to engine_, which (being declared after
-  /// async_) would otherwise be freed while the worker still runs.
-  ~SgmSampler() override { async_.wait(); }
 
   std::string name() const override {
     return opt_.use_isr ? "sgm-s" : "sgm";
@@ -125,16 +83,11 @@ class SgmSampler final : public samplers::Sampler {
   const ClusterScores& last_scores() const { return last_scores_; }
   std::size_t last_epoch_size() const { return last_epoch_size_; }
   std::uint64_t rebuild_count() const { return rebuild_count_; }
-  /// The incremental engine's stats for the most recent refresh (zeroed
-  /// struct when incremental_refresh is off or nothing refreshed yet).
-  const RefreshStats& last_refresh_stats() const { return last_refresh_stats_; }
   const RefreshScheduler& scheduler() const { return schedule_; }
 
  private:
-  void rebuild_clusters(util::Rng& rng);
-  void rebuild_clusters_incremental();
+  void rebuild_clusters();
   std::unique_ptr<tensor::Matrix> snapshot_outputs() const;
-  void observe_engine_stats();
   std::vector<double> representative_isr(
       const ClusterStore::Representatives& reps,
       const std::vector<double>& rep_loss);
@@ -147,13 +100,8 @@ class SgmSampler final : public samplers::Sampler {
   ClusterScores last_scores_;
   std::size_t last_epoch_size_ = 0;
   std::uint64_t rebuild_count_ = 0;
-  AsyncRebuilder async_;
   std::function<tensor::Matrix(const std::vector<std::uint32_t>&)>
       outputs_provider_;
-  std::unique_ptr<IncrementalRefreshEngine> engine_;  // incremental_refresh
-  DirtyTracker loss_tracker_;                         // cadence signal
-  RefreshStats last_refresh_stats_;
-  std::uint64_t observed_rebuilds_ = 0;
 };
 
 }  // namespace sgm::core

@@ -114,198 +114,4 @@ double exact_effective_resistance(const CsrGraph& g, NodeId u, NodeId v) {
   return er_from_embedding(z, u, v);
 }
 
-// ------------------------------------------------- IncrementalErEngine ----
-
-namespace {
-
-/// Depth-limited BFS from `seeds` over the union of two adjacencies.
-/// Returns the visited nodes (sorted) and, aligned, their depths.
-void union_ball(const CsrGraph& a, const CsrGraph& b,
-                const std::vector<NodeId>& seeds, int max_depth,
-                std::vector<NodeId>* nodes, std::vector<int>* depth_out) {
-  const std::size_t n = a.num_nodes();
-  std::vector<int> depth(n, -1);
-  std::vector<NodeId> frontier;
-  for (NodeId s : seeds)
-    if (s < n && depth[s] < 0) {
-      depth[s] = 0;
-      frontier.push_back(s);
-    }
-  for (int d = 0; d < max_depth && !frontier.empty(); ++d) {
-    std::vector<NodeId> next;
-    for (NodeId u : frontier) {
-      for (NodeId v : a.neighbors(u))
-        if (depth[v] < 0) {
-          depth[v] = d + 1;
-          next.push_back(v);
-        }
-      if (b.num_nodes() == n)
-        for (NodeId v : b.neighbors(u))
-          if (depth[v] < 0) {
-            depth[v] = d + 1;
-            next.push_back(v);
-          }
-    }
-    frontier.swap(next);
-  }
-  nodes->clear();
-  depth_out->clear();
-  for (NodeId v = 0; v < n; ++v)
-    if (depth[v] >= 0) {
-      nodes->push_back(v);
-      depth_out->push_back(depth[v]);
-    }
-}
-
-}  // namespace
-
-IncrementalErEngine::IncrementalErEngine(ErOptions options)
-    : opt_(std::move(options)) {}
-
-const std::vector<std::vector<double>>& IncrementalErEngine::cached_init(
-    std::size_t n) {
-  // Serial draws in a fixed order: the same (seed, n, t) always regenerates
-  // the identical initial vectors, which is what lets localized updates
-  // splice against cached values bit-for-bit — and what makes caching the
-  // block across refreshes safe.
-  const int t = std::max(1, opt_.num_vectors);
-  if (init_cache_n_ == n &&
-      init_cache_.size() == static_cast<std::size_t>(t))
-    return init_cache_;
-  util::Rng rng(opt_.seed);
-  init_cache_.assign(static_cast<std::size_t>(t), std::vector<double>(n));
-  for (auto& x : init_cache_) {
-    for (auto& v : x) v = rng.uniform(-0.5, 0.5);
-    deflate_constant(x);
-  }
-  init_cache_n_ = n;
-  return init_cache_;
-}
-
-void IncrementalErEngine::smoothed_full(const CsrGraph& g) {
-  const std::size_t n = g.num_nodes();
-  const int t = std::max(1, opt_.num_vectors);
-  double d_max = 0.0;
-  for (NodeId u = 0; u < n; ++u)
-    d_max = std::max(d_max, g.weighted_degree(u));
-  if (d_max <= 0.0) d_max = 1.0;
-  d_max_seen_ = std::max(d_max_seen_, d_max);
-  sigma_pin_ = (2.0 / 3.0) / (2.0 * d_max_seen_);
-
-  const std::vector<Vec>& init = cached_init(n);
-  z_ = Matrix(n, static_cast<std::size_t>(t));
-  const double s = 1.0 / std::sqrt(static_cast<double>(t));
-  const double sigma = sigma_pin_;
-  util::parallel_for_chunks(
-      0, static_cast<std::size_t>(t), 1, opt_.num_threads,
-      [&](std::size_t b, std::size_t e, std::size_t) {
-        Vec y(n);
-        for (std::size_t col = b; col < e; ++col) {
-          Vec x = init[col];  // working copy; the cache is reused
-          for (int it = 0; it < opt_.smoothing_iterations; ++it) {
-            laplacian_apply(g, x, y);
-            for (std::size_t i = 0; i < n; ++i) x[i] -= sigma * y[i];
-          }
-          for (std::size_t r = 0; r < n; ++r) z_(r, col) = x[r] * s;
-        }
-      });
-}
-
-void IncrementalErEngine::smoothed_localized(const CsrGraph& g,
-                                             const std::vector<NodeId>& commit,
-                                             const std::vector<NodeId>& swept) {
-  const std::size_t n = g.num_nodes();
-  const int t = std::max(1, opt_.num_vectors);
-  const std::vector<Vec>& init = cached_init(n);
-  const double s = 1.0 / std::sqrt(static_cast<double>(t));
-  const double sigma = sigma_pin_;
-  util::parallel_for_chunks(
-      0, static_cast<std::size_t>(t), 1, opt_.num_threads,
-      [&](std::size_t b, std::size_t e, std::size_t) {
-        Vec y(swept.size());
-        for (std::size_t col = b; col < e; ++col) {
-          Vec x = init[col];  // working copy; the cache is reused
-          for (int it = 0; it < opt_.smoothing_iterations; ++it) {
-            // Per-node arithmetic replicates laplacian_apply exactly
-            // (weighted-degree term first, then neighbors in CSR order), so
-            // the committed core is bit-identical to a full sweep.
-            for (std::size_t idx = 0; idx < swept.size(); ++idx) {
-              const NodeId u = swept[idx];
-              const auto nbrs = g.neighbors(u);
-              const auto eids = g.incident_edges(u);
-              double acc = g.weighted_degree(u) * x[u];
-              for (std::size_t a = 0; a < nbrs.size(); ++a)
-                acc -= g.edge(eids[a]).w * x[nbrs[a]];
-              y[idx] = acc;
-            }
-            for (std::size_t idx = 0; idx < swept.size(); ++idx)
-              x[swept[idx]] -= sigma * y[idx];
-          }
-          for (NodeId v : commit) z_(v, col) = x[v] * s;
-        }
-      });
-}
-
-const Matrix& IncrementalErEngine::rebuild(const CsrGraph& g) {
-  if (g.num_nodes() == 0) {
-    z_ = Matrix();
-    return z_;
-  }
-  switch (opt_.method) {
-    case ErMethod::kExact:
-      z_ = effective_resistance_embedding(g, opt_);
-      break;
-    case ErMethod::kSmoothed:
-      smoothed_full(g);
-      break;
-  }
-  return z_;
-}
-
-const Matrix& IncrementalErEngine::update(
-    const CsrGraph& g, const CsrGraph& prev,
-    const std::vector<NodeId>& changed_nodes, ErUpdateStats* stats) {
-  if (stats) {
-    *stats = ErUpdateStats{};
-    stats->changed_nodes = changed_nodes.size();
-  }
-  const std::size_t n = g.num_nodes();
-  const int t = std::max(1, opt_.num_vectors);
-  const bool shape_ok =
-      z_.rows() == n && z_.cols() == static_cast<std::size_t>(t) &&
-      prev.num_nodes() == n;
-  if (n == 0 || !shape_ok || opt_.method == ErMethod::kExact) {
-    if (stats) stats->full_recompute = true;
-    return rebuild(g);
-  }
-  if (changed_nodes.empty()) return z_;  // identical graph: nothing to do
-
-  // kSmoothed. A grown max degree would unpin the Richardson step size —
-  // recompute everything under the new pin.
-  double d_max = 0.0;
-  for (NodeId u = 0; u < n; ++u)
-    d_max = std::max(d_max, g.weighted_degree(u));
-  if (d_max > d_max_seen_) {
-    if (stats) stats->full_recompute = true;
-    smoothed_full(g);
-    return z_;
-  }
-  const int sweeps = std::max(1, opt_.smoothing_iterations);
-  std::vector<NodeId> ball;
-  std::vector<int> depth;
-  union_ball(g, prev, changed_nodes, 2 * sweeps, &ball, &depth);
-  if (stats) stats->region_nodes = ball.size();
-  if (static_cast<double>(ball.size()) >
-      opt_.incremental_region_fraction * static_cast<double>(n)) {
-    if (stats) stats->full_recompute = true;
-    smoothed_full(g);
-    return z_;
-  }
-  std::vector<NodeId> commit;
-  for (std::size_t i = 0; i < ball.size(); ++i)
-    if (depth[i] <= sweeps) commit.push_back(ball[i]);
-  smoothed_localized(g, commit, ball);
-  return z_;
-}
-
 }  // namespace sgm::graph

@@ -25,8 +25,7 @@ inline double dist2(const double* a, const double* b, std::size_t d) {
 // Max-heap on (dist2, index): keeps the k lexicographically-smallest
 // (dist2, index) pairs seen so far. Comparing the full pair (not just the
 // distance) makes tie-breaking canonical: the selected set depends only on
-// the candidate multiset, never on traversal order — which is what lets the
-// incremental engine splice cached results next to fresh tree queries.
+// the candidate multiset, never on traversal order.
 inline void heap_push(std::vector<std::pair<double, NodeId>>& heap,
                       std::size_t k, double d2, NodeId idx) {
   const std::pair<double, NodeId> cand{d2, idx};
@@ -56,26 +55,9 @@ KnnResult heap_to_result(std::vector<std::pair<double, NodeId>> heap) {
 KdTree::KdTree(const Matrix& points)
     : n_(points.rows()), d_(points.cols()), pts_(points) {
   if (d_ == 0) throw std::invalid_argument("KdTree: dimension must be >= 1");
-  rebuild();
-}
-
-void KdTree::rebuild() {
-  nodes_.clear();
   order_.resize(n_);
   std::iota(order_.begin(), order_.end(), NodeId{0});
   if (n_ > 0) build(0, static_cast<std::uint32_t>(n_), 0);
-}
-
-void KdTree::update_points(const std::vector<NodeId>& ids,
-                           const Matrix& rows) {
-  if (rows.rows() != ids.size() || (rows.rows() > 0 && rows.cols() != d_))
-    throw std::invalid_argument("KdTree::update_points: shape mismatch");
-  for (std::size_t t = 0; t < ids.size(); ++t) {
-    if (ids[t] >= n_)
-      throw std::out_of_range("KdTree::update_points: id out of range");
-    for (std::size_t c = 0; c < d_; ++c) pts_(ids[t], c) = rows(t, c);
-  }
-  rebuild();
 }
 
 std::int32_t KdTree::build(std::uint32_t begin, std::uint32_t end, int depth) {
@@ -158,31 +140,6 @@ KnnResult KdTree::query_point(NodeId i, std::size_t k) const {
   return heap_to_result(std::move(heap));
 }
 
-bool KdTree::search_within(std::int32_t node, const double* q, double r2,
-                           std::int64_t exclude) const {
-  const Node& nd = nodes_[node];
-  if (nd.leaf) {
-    for (std::uint32_t i = nd.begin; i < nd.end; ++i) {
-      const NodeId idx = order_[i];
-      if (static_cast<std::int64_t>(idx) == exclude) continue;
-      if (dist2(q, pts_.row(idx), d_) <= r2) return true;
-    }
-    return false;
-  }
-  const double delta = q[nd.axis] - nd.split;
-  const std::int32_t near = delta <= 0.0 ? nd.left : nd.right;
-  const std::int32_t far = delta <= 0.0 ? nd.right : nd.left;
-  if (search_within(near, q, r2, exclude)) return true;
-  if (delta * delta <= r2) return search_within(far, q, r2, exclude);
-  return false;
-}
-
-bool KdTree::any_within(const double* q, double r2,
-                        std::int64_t exclude) const {
-  if (n_ == 0 || r2 < 0.0) return false;
-  return search_within(0, q, r2, exclude);
-}
-
 KnnResult knn_brute_force(const Matrix& points, const double* query,
                           std::size_t k, std::int64_t exclude) {
   std::vector<std::pair<double, NodeId>> heap;
@@ -248,14 +205,13 @@ void symmetrize_edges(std::vector<Edge>& edges, std::size_t num_threads) {
               edges.end());
 }
 
-namespace knn_detail {
+namespace {
 
+// Mean kNN distance over all result lists (the Gauss weight scale); 1.0 for
+// an empty or degenerate sweep. Per-chunk partial sums are merged in chunk
+// order, so sigma is bit-identical for every thread count.
 double mean_knn_distance(const std::vector<KnnResult>& nn,
                          std::size_t num_threads) {
-  // Per-chunk partial sums merged in chunk order: the additions happen in
-  // exactly the order the full builders' fused query/reduce loop used, so
-  // sigma is bit-identical for every thread count and for cached-vs-fresh
-  // nn lists alike.
   constexpr std::size_t kGrain = 256;
   const std::size_t n = nn.size();
   const std::size_t chunks = util::num_chunks(0, n, kGrain);
@@ -285,6 +241,8 @@ double mean_knn_distance(const std::vector<KnnResult>& nn,
   return mean_dist > 0 ? mean_dist : 1.0;
 }
 
+// The undirected edge list from per-point kNN results: weighting, the
+// optional mutual filter, then symmetrize/sort/dedup.
 CsrGraph graph_from_nn(const std::vector<KnnResult>& nn, std::size_t n,
                        std::size_t k, const KnnGraphOptions& options,
                        double sigma) {
@@ -334,7 +292,7 @@ CsrGraph graph_from_nn(const std::vector<KnnResult>& nn, std::size_t n,
   return CsrGraph::from_edges(static_cast<NodeId>(n), std::move(edges));
 }
 
-}  // namespace knn_detail
+}  // namespace
 
 CsrGraph build_knn_graph(const Matrix& points, const KnnGraphOptions& options) {
   const std::size_t n = points.rows();
@@ -351,9 +309,8 @@ CsrGraph build_knn_graph(const Matrix& points, const KnnGraphOptions& options) {
         for (std::size_t i = b; i < e; ++i)
           nn[i] = tree.query_point(static_cast<NodeId>(i), k);
       });
-  const double sigma =
-      knn_detail::mean_knn_distance(nn, options.num_threads);
-  return knn_detail::graph_from_nn(nn, n, k, options, sigma);
+  return graph_from_nn(nn, n, k, options,
+                       mean_knn_distance(nn, options.num_threads));
 }
 
 }  // namespace sgm::graph

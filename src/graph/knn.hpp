@@ -18,9 +18,8 @@ namespace sgm::graph {
 /// Result of a k-NN query: neighbor indices with squared distances,
 /// ascending by (distance, index). Ties are broken canonically on the node
 /// index, so the selected set is a pure function of the point coordinates —
-/// never of tree layout or traversal order. The incremental refresh engine
-/// relies on this to splice cached results from an old tree next to fresh
-/// queries against a new one.
+/// never of tree layout or traversal order: the kd-tree selects exactly the
+/// brute-force reference's neighbors, duplicate points included.
 struct KnnResult {
   std::vector<NodeId> index;
   std::vector<double> dist2;
@@ -38,20 +37,6 @@ class KdTree {
   /// k nearest neighbors of point `i`, excluding `i` itself.
   KnnResult query_point(NodeId i, std::size_t k) const;
 
-  /// True when any indexed point lies within squared distance `r2` of `q`
-  /// (inclusive), excluding index `exclude`. Bounded search used by the
-  /// incremental engine's affected-set detection.
-  bool any_within(const double* q, double r2, std::int64_t exclude = -1) const;
-
-  /// Replaces the rows at `ids` with the rows of `rows` (|ids| x d, aligned
-  /// with `ids`) and rebuilds the spatial index over the updated points.
-  /// The kd build is O(n log n) with small constants — cheap next to the
-  /// per-point query sweep the incremental engine skips — so "update" for
-  /// the exact backend is a rebuild that keeps the stored points
-  /// authoritative and queries exact.
-  void update_points(const std::vector<NodeId>& ids,
-                     const tensor::Matrix& rows);
-
   std::size_t size() const { return n_; }
   std::size_t dim() const { return d_; }
 
@@ -64,12 +49,9 @@ class KdTree {
     double split = 0.0;
   };
 
-  void rebuild();
   std::int32_t build(std::uint32_t begin, std::uint32_t end, int depth);
   void search(std::int32_t node, const double* q, std::size_t k,
               std::int64_t exclude, std::vector<std::pair<double, NodeId>>& heap) const;
-  bool search_within(std::int32_t node, const double* q, double r2,
-                     std::int64_t exclude) const;
 
   std::size_t n_ = 0, d_ = 0;
   tensor::Matrix pts_;
@@ -114,24 +96,5 @@ CsrGraph build_knn_graph(const tensor::Matrix& points,
 /// structure is fixed (independent of `num_threads`), so the result is
 /// byte-identical for any thread count.
 void symmetrize_edges(std::vector<Edge>& edges, std::size_t num_threads);
-
-namespace knn_detail {
-
-/// Mean kNN distance over all result lists, reduced with the fixed
-/// chunk-order merge (byte-identical for any thread count). Returns 1.0 for
-/// an empty/degenerate sweep, matching the full builders' sigma fallback.
-double mean_knn_distance(const std::vector<KnnResult>& nn,
-                         std::size_t num_threads);
-
-/// Materializes the undirected edge list from per-point kNN results —
-/// weighting, optional mutual filter, symmetrize/sort/dedup — exactly as
-/// build_knn_graph does after its query sweep. `sigma` is the Gauss scale
-/// (mean_knn_distance). Shared by the full builders and the incremental
-/// engine so both produce bit-identical graphs from identical nn lists.
-CsrGraph graph_from_nn(const std::vector<KnnResult>& nn, std::size_t n,
-                       std::size_t k, const KnnGraphOptions& options,
-                       double sigma);
-
-}  // namespace knn_detail
 
 }  // namespace sgm::graph

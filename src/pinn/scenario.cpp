@@ -43,7 +43,6 @@ core::SgmOptions base_sgm(std::size_t k, int levels, std::uint64_t tau_e,
   opt.tau_e = tau_e;
   opt.tau_g = tau_g;
   opt.epoch.epoch_fraction = 0.25;
-  opt.seed = 2024;
   return opt;
 }
 
@@ -247,22 +246,7 @@ ScenarioConfig ScenarioRegistry::make(const std::string& name,
     throw std::out_of_range("ScenarioRegistry: unknown scenario '" + name +
                             "' (registered: " + known + ")");
   }
-  ScenarioConfig cfg = it->second(scale);
-  if (!cfg.sgm_incremental.incremental_refresh) {
-    // Derive the incremental-refresh variant from the recommended SGM
-    // options (factories that set their own variant are left alone):
-    // output-weighted rebuilds feed the drift signal, a 5%-of-feature-scale
-    // tolerance filters training noise, and the default fallback threshold
-    // keeps early-training refreshes (where everything drifts) full.
-    cfg.sgm_incremental = cfg.sgm;
-    cfg.sgm_incremental.incremental_refresh = true;
-    if (cfg.sgm_incremental.rebuild_output_weight <= 0.0)
-      cfg.sgm_incremental.rebuild_output_weight = 0.5;
-    cfg.sgm_incremental.dirty_tolerance = 0.05;
-    cfg.sgm_incremental.incremental_threshold = 0.35;
-    cfg.sgm_incremental.er_stale_ratio = 0.25;
-  }
-  return cfg;
+  return it->second(scale);
 }
 
 }  // namespace sgm::pinn

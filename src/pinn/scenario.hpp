@@ -51,13 +51,6 @@ struct ScenarioConfig {
   std::uint64_t net_seed = 7;        ///< weight-init seed
   TrainerOptions trainer;            ///< recommended loop options
   core::SgmOptions sgm;              ///< recommended SGM sampler options
-  /// Recommended incremental-refresh variant of `sgm`: same pipeline with
-  /// the IncrementalRefreshEngine on, output-weighted rebuilds (the drift
-  /// signal the dirty tracker watches) and calibrated dirty/threshold
-  /// knobs. ScenarioRegistry::make derives it from `sgm` when the factory
-  /// leaves it untouched; factories may override. Needs an outputs
-  /// provider wired (SgmSampler::set_outputs_provider) to be meaningful.
-  core::SgmOptions sgm_incremental;
   std::vector<MetricEnvelope> envelopes;  ///< calibrated at kSmoke
 };
 

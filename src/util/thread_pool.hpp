@@ -33,8 +33,7 @@ namespace sgm::util {
 std::size_t resolve_threads(std::size_t requested);
 
 /// Fixed pool of worker threads draining a shared task queue. Safe to submit
-/// from multiple threads (e.g. the trainer and an async rebuild worker at
-/// once).
+/// from multiple threads at once.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (0 resolves as resolve_threads(0)).

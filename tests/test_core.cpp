@@ -1,25 +1,25 @@
 // Tests for the SGM-PINN core: PGM construction, cluster bookkeeping,
-// scoring, epoch building (Algorithm 1 lines 5-10), refresh scheduling,
-// async rebuild and the assembled SgmSampler.
+// scoring, epoch building (Algorithm 1 lines 5-10), refresh scheduling and
+// the assembled SgmSampler.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <map>
-#include <new>
 #include <numeric>
 #include <set>
 #include <string>
+#include <thread>
 
-#include "core/async_rebuild.hpp"
 #include "core/cluster_store.hpp"
 #include "core/epoch_builder.hpp"
 #include "core/pgm.hpp"
 #include "core/refresh_scheduler.hpp"
 #include "core/scorer.hpp"
 #include "core/sgm_sampler.hpp"
-#include "util/check.hpp"
+#include "pinn/point_cloud.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -421,68 +421,13 @@ TEST(SgmSampler, IsrModeRuns) {
   EXPECT_EQ(batch.size(), 32u);
 }
 
-// --------------------------------------------------------- AsyncRebuilder --
-
-TEST(AsyncRebuilder, ProducesClusteringInBackground) {
-  sgm::util::Rng rng(17);
-  const Matrix pts = random_cloud(300, rng);
-  sgm::core::PgmOptions pgm;
-  pgm.knn.k = 6;
-  sgm::graph::LrdOptions lrd;
-  lrd.levels = 4;
-  lrd.er.num_vectors = 6;
-  sgm::core::AsyncRebuilder rebuilder;
-  rebuilder.launch(pts, nullptr, pgm, lrd);
-  rebuilder.wait();
-  auto result = rebuilder.try_take();
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(result->node_cluster.size(), 300u);
-  // A second take must return nothing.
-  EXPECT_FALSE(rebuilder.try_take().has_value());
-}
-
-TEST(AsyncRebuilder, JobExceptionRethrowsFromTryTake) {
-  sgm::core::AsyncRebuilder rebuilder;
-  rebuilder.launch_job([]() -> Clustering {
-    SGM_CHECK(false, "injected rebuild failure");
-    return {};
-  });
-  rebuilder.wait();  // must not throw
-  try {
-    (void)rebuilder.try_take();
-    ADD_FAILURE() << "try_take did not rethrow the job's exception";
-  } catch (const sgm::util::CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("injected rebuild failure"),
-              std::string::npos)
-        << e.what();
-  }
-  EXPECT_FALSE(rebuilder.try_take().has_value());  // delivered once
-
-  // The rebuilder is idle again and runs the next job normally.
-  rebuilder.launch_job([] {
-    Clustering c;
-    c.node_cluster = {0, 0, 1};
-    c.num_clusters = 2;
-    return c;
-  });
-  rebuilder.wait();
-  const auto result = rebuilder.try_take();
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(result->num_clusters, 2u);
-
-  // An untaken exception is dropped by the destructor without throwing.
-  sgm::core::AsyncRebuilder abandoned;
-  abandoned.launch_job([]() -> Clustering { throw std::bad_alloc(); });
-}
-
-TEST(AsyncRebuilder, ProviderEvaluationChargedToRefreshSeconds) {
-  // The async path evaluates the outputs provider synchronously on the
-  // training thread; that time must show up in refresh_seconds() even
-  // though the graph build itself overlaps training.
+TEST(SgmSampler, ProviderEvaluationChargedToRefreshSeconds) {
+  // An output-weighted tau_G rebuild evaluates the outputs provider over
+  // every point on the training thread; that time is sampler cost and must
+  // show up in refresh_seconds().
   sgm::util::Rng rng(19);
   const Matrix pts = random_cloud(150, rng);
   SgmOptions opt = fast_options();
-  opt.async_rebuild = true;
   opt.tau_g = 5;
   opt.tau_e = 1000;  // one score refresh at it=0, then only the rebuild
   opt.rebuild_output_weight = 1.0;
@@ -499,31 +444,62 @@ TEST(AsyncRebuilder, ProviderEvaluationChargedToRefreshSeconds) {
     return std::vector<double>(rows.size(), 1.0);
   };
   for (std::uint64_t it = 0; it < 6; ++it) s.maybe_refresh(it, eval, rng);
+  EXPECT_EQ(s.rebuild_count(), 1u);
   // sleep_for's lower bound is guaranteed, so >= 20ms is deterministic.
   EXPECT_GE(s.refresh_seconds() - baseline, 0.020);
 }
 
-TEST(AsyncRebuilder, AsyncSamplerSwapsIn) {
-  sgm::util::Rng rng(18);
-  const Matrix pts = random_cloud(200, rng);
+// A tau_G rebuild's clustering is a function of its inputs: the points, the
+// options and, when output-weighted, the provider's outputs. With a purely
+// spatial metric it reproduces the construction-time clustering bit for
+// bit, at any thread count; with output features it moves.
+std::vector<sgm::graph::NodeId> clustering_after_rebuild(
+    const Matrix& pts, std::size_t threads, const Matrix* outputs) {
   SgmOptions opt = fast_options();
-  opt.async_rebuild = true;
-  opt.tau_g = 10;
-  opt.tau_e = 5;
+  opt.tau_e = 1000;
+  opt.tau_g = 5;
+  opt.num_threads = threads;
+  opt.rebuild_output_weight = outputs ? 1.0 : 0.0;
   SgmSampler s(pts, opt);
+  if (outputs)
+    s.set_outputs_provider([outputs](const std::vector<std::uint32_t>& rows) {
+      return sgm::pinn::gather_rows(*outputs, rows);
+    });
+  const std::vector<sgm::graph::NodeId> initial =
+      s.clusters().clustering().node_cluster;
   auto eval = [](const std::vector<std::uint32_t>& rows) {
     return std::vector<double>(rows.size(), 1.0);
   };
-  for (std::uint64_t it = 0; it < 200; ++it) {
-    s.maybe_refresh(it, eval, rng);
-    (void)s.next_batch(8, rng);
+  sgm::util::Rng rng(21);
+  for (std::uint64_t it = 0; it < 6; ++it) s.maybe_refresh(it, eval, rng);
+  EXPECT_EQ(s.rebuild_count(), 1u);
+  if (outputs) {
+    EXPECT_NE(s.clusters().clustering().node_cluster, initial)
+        << "output-weighted rebuild at " << threads << " threads";
+  } else {
+    EXPECT_EQ(s.clusters().clustering().node_cluster, initial)
+        << "spatial rebuild at " << threads << " threads";
   }
-  // Give any in-flight rebuild time to land, then poll once more.
-  for (int spin = 0; spin < 100 && s.rebuild_count() == 0; ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    s.maybe_refresh(1000 + spin, eval, rng);
-  }
-  EXPECT_GE(s.rebuild_count(), 1u);
+  return s.clusters().clustering().node_cluster;
+}
+
+TEST(SgmSampler, SpatialRebuildReproducesTheClustering) {
+  sgm::util::Rng rng(20);
+  const Matrix pts = random_cloud(300, rng);
+  const auto one = clustering_after_rebuild(pts, 1, nullptr);
+  const auto four = clustering_after_rebuild(pts, 4, nullptr);
+  EXPECT_EQ(one, four);
+}
+
+TEST(SgmSampler, OutputWeightedRebuildFoldsOutputsIn) {
+  sgm::util::Rng rng(22);
+  const Matrix pts = random_cloud(300, rng);
+  Matrix outputs(pts.rows(), 1);
+  for (std::size_t r = 0; r < pts.rows(); ++r)
+    outputs(r, 0) = std::sin(12.0 * pts(r, 0));
+  const auto one = clustering_after_rebuild(pts, 1, &outputs);
+  const auto four = clustering_after_rebuild(pts, 4, &outputs);
+  EXPECT_EQ(one, four);
 }
 
 }  // namespace

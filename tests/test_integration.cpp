@@ -249,48 +249,11 @@ TEST(Integration, TrainerHistoryDeterministicWithSgmRebuilds) {
                                                   "sgm sync rebuilds");
 }
 
-TEST(Integration, TrainerHistoryDeterministicUnderAsyncRebuild) {
-  // The async path overlaps the background rebuild with ordinary training
-  // iterations, but both a score refresh (before building the next epoch)
-  // and a rebuild boundary (before launching the next build) synchronize
-  // with any in-flight rebuild — so which clustering each epoch uses
-  // depends only on the iteration schedule, never on worker-thread timing,
-  // and same-seed histories are identical by construction (not by
-  // scheduling luck). Output-weighted rebuilds are on, covering the
-  // provider-snapshot path as well.
-  sgm::pinn::PoissonProblem::Options popt;
-  popt.interior_points = 512;
-  sgm::pinn::PoissonProblem problem(popt);
-  auto run_once = [&] {
-    Mlp net = make_net(2, 1, 23, 16, 2);
-    sgm::core::SgmOptions sopt;
-    sopt.pgm.knn.k = 6;
-    sopt.lrd.levels = 4;
-    sopt.tau_e = 150;      // scores refresh at 0, 150, 300 (sync points)
-    sopt.tau_g = 110;      // async rebuilds launch at 110, 220, 330
-    sopt.async_rebuild = true;
-    sopt.rebuild_output_weight = 0.5;
-    sgm::core::SgmSampler sampler(problem.interior_points(), sopt);
-    sampler.set_outputs_provider([&](const std::vector<std::uint32_t>& rows) {
-      return net.forward(sgm::pinn::gather_rows(problem.interior_points(),
-                                                rows));
-    });
-    auto topt = fast_trainer(450);
-    topt.validate_every = 150;
-    sgm::pinn::Trainer trainer(problem, net, sampler, topt);
-    return trainer.run();
-  };
-  sgm::pinn::testutil::expect_identical_histories(run_once(), run_once(),
-                                                  "sgm async rebuild");
-}
-
-TEST(Integration, TrainerHistoryDeterministicUnderAsyncIncrementalRefresh) {
-  // The incremental refresh engine threaded through the async rebuild path:
-  // the engine's state is owned by the worker between launch and the next
-  // barrier, refresh outcomes (dirty detection, kNN update, localized ER,
-  // cadence signal) are pure functions of the iteration schedule, so
-  // same-seed histories must still be identical — including the
-  // dirty-fraction-modulated rebuild cadence.
+TEST(Integration, TrainerHistoryDeterministicWithOutputWeightedRebuilds) {
+  // Output-weighted rebuilds fold the live network's outputs over every
+  // point into the PGM metric at each tau_G boundary. The provider runs on
+  // the training thread at a fixed iteration, so same-seed histories are
+  // identical, repeated and at 1 vs 4 threads.
   sgm::pinn::PoissonProblem::Options popt;
   popt.interior_points = 512;
   sgm::pinn::PoissonProblem problem(popt);
@@ -299,12 +262,9 @@ TEST(Integration, TrainerHistoryDeterministicUnderAsyncIncrementalRefresh) {
     sgm::core::SgmOptions sopt;
     sopt.pgm.knn.k = 6;
     sopt.lrd.levels = 4;
-    sopt.tau_e = 150;
-    sopt.tau_g = 110;
-    sopt.async_rebuild = true;
-    sopt.incremental_refresh = true;
+    sopt.tau_e = 150;  // scores refresh at 0, 150, 300
+    sopt.tau_g = 110;  // rebuilds at 110, 220, 330, 440
     sopt.rebuild_output_weight = 0.5;
-    sopt.dirty_tolerance = 0.02;
     sopt.num_threads = threads;
     sgm::core::SgmSampler sampler(problem.interior_points(), sopt);
     sampler.set_outputs_provider([&](const std::vector<std::uint32_t>& rows) {
@@ -315,13 +275,15 @@ TEST(Integration, TrainerHistoryDeterministicUnderAsyncIncrementalRefresh) {
     topt.validate_every = 150;
     topt.num_threads = threads;
     sgm::pinn::Trainer trainer(problem, net, sampler, topt);
-    return trainer.run();
+    auto history = trainer.run();
+    EXPECT_EQ(sampler.rebuild_count(), 4u);
+    return history;
   };
   const auto h1 = run_once(1);
   sgm::pinn::testutil::expect_identical_histories(
-      h1, run_once(1), "sgm async incremental, repeated");
+      h1, run_once(1), "sgm output-weighted rebuilds, repeated");
   sgm::pinn::testutil::expect_identical_histories(
-      h1, run_once(4), "sgm async incremental, 1 vs 4 threads");
+      h1, run_once(4), "sgm output-weighted rebuilds, 1 vs 4 threads");
 }
 
 // Telemetry round-trip: the CSV must parse back into exactly the recorded

@@ -140,67 +140,4 @@ TEST(KnnGraph, GaussWeightsInUnitInterval) {
   }
 }
 
-// ------------------------------------------------- update_points ----------
-
-namespace {
-
-/// Moves `fraction` of the points to fresh uniform positions; returns the
-/// moved ids (sorted) and their new rows.
-std::pair<std::vector<sgm::graph::NodeId>, Matrix> move_points(
-    Matrix& pts, double fraction, sgm::util::Rng& rng) {
-  const auto n = static_cast<std::uint32_t>(pts.rows());
-  const auto want = static_cast<std::uint32_t>(fraction * n);
-  std::vector<std::uint32_t> ids = rng.sample_without_replacement(n, want);
-  std::sort(ids.begin(), ids.end());
-  Matrix rows(ids.size(), pts.cols());
-  for (std::size_t t = 0; t < ids.size(); ++t)
-    for (std::size_t c = 0; c < pts.cols(); ++c) {
-      rows(t, c) = rng.uniform();
-      pts(ids[t], c) = rows(t, c);
-    }
-  return {std::vector<sgm::graph::NodeId>(ids.begin(), ids.end()),
-          std::move(rows)};
-}
-
-}  // namespace
-
-TEST(KdTreeUpdate, MatchesFreshBuildExactly) {
-  // kd update_points keeps queries exact: identical (canonical) results to
-  // a tree built from scratch over the updated points.
-  sgm::util::Rng rng(127);
-  Matrix pts = random_points(600, 3, rng);
-  KdTree tree(pts);
-  auto [ids, rows] = move_points(pts, 0.2, rng);
-  tree.update_points(ids, rows);
-  KdTree fresh(pts);
-  for (int probe = 0; probe < 40; ++probe) {
-    const auto i =
-        static_cast<sgm::graph::NodeId>(rng.uniform_index(pts.rows()));
-    const auto a = tree.query_point(i, 7);
-    const auto b = fresh.query_point(i, 7);
-    EXPECT_EQ(a.index, b.index) << "point " << i;
-    EXPECT_EQ(a.dist2, b.dist2) << "point " << i;
-  }
-}
-
-TEST(KdTree, AnyWithinAgreesWithBruteForce) {
-  sgm::util::Rng rng(131);
-  const Matrix pts = random_points(400, 2, rng);
-  KdTree tree(pts);
-  for (int probe = 0; probe < 200; ++probe) {
-    double q[2] = {rng.uniform(-0.2, 1.2), rng.uniform(-0.2, 1.2)};
-    const double r2 = rng.uniform(0.0, 0.02);
-    bool brute = false;
-    for (std::size_t i = 0; i < pts.rows() && !brute; ++i) {
-      const double dx = q[0] - pts(i, 0), dy = q[1] - pts(i, 1);
-      brute = dx * dx + dy * dy <= r2;
-    }
-    EXPECT_EQ(tree.any_within(q, r2), brute) << "probe " << probe;
-  }
-  // Exclusion: the indexed point itself is found at radius 0 unless
-  // excluded (generic random cloud: no duplicates).
-  EXPECT_TRUE(tree.any_within(pts.row(5), 0.0, -1));
-  EXPECT_FALSE(tree.any_within(pts.row(5), 0.0, 5));
-}
-
 }  // namespace

@@ -72,95 +72,4 @@ TEST(RefreshScheduler, ExposesConfiguredPeriods) {
   EXPECT_EQ(sched.tau_g(), 25000u);
 }
 
-// ----------------------------------------- dirty-fraction-aware cadence ---
-// The rebuild cadence is a pure function of iteration numbers and observed
-// dirty fractions — never wall-clock time. With no signal it must be the
-// legacy fixed-tau_G schedule bit-for-bit.
-
-TEST(RefreshScheduler, NoSignalKeepsLegacyCadence) {
-  RefreshScheduler sched(/*tau_e=*/1, /*tau_g=*/6);
-  EXPECT_FALSE(sched.has_dirty_signal());
-  EXPECT_EQ(sched.effective_tau_g(), 6u);
-  std::vector<std::uint64_t> fired;
-  for (std::uint64_t it = 0; it <= 18; ++it)
-    if (sched.should_rebuild(it)) fired.push_back(it);
-  EXPECT_EQ(fired, (std::vector<std::uint64_t>{6, 12, 18}));
-}
-
-TEST(RefreshScheduler, HotSignalAcceleratesRebuilds) {
-  RefreshScheduler sched(/*tau_e=*/1, /*tau_g=*/8);  // hot: >= 0.5 => /4
-  sched.observe_dirty_fraction(0.75);
-  EXPECT_TRUE(sched.has_dirty_signal());
-  EXPECT_EQ(sched.effective_tau_g(), 2u);
-  std::vector<std::uint64_t> fired;
-  for (std::uint64_t it = 0; it <= 8; ++it)
-    if (sched.should_rebuild(it)) fired.push_back(it);
-  EXPECT_EQ(fired, (std::vector<std::uint64_t>{2, 4, 6, 8}));
-}
-
-TEST(RefreshScheduler, CoolSignalKeepsBaseCadence) {
-  RefreshScheduler sched(/*tau_e=*/1, /*tau_g=*/8);
-  sched.observe_dirty_fraction(0.49);  // below the default hot threshold
-  EXPECT_EQ(sched.effective_tau_g(), 8u);
-  // Signals update as observed; dropping back below hot restores tau_g.
-  sched.observe_dirty_fraction(0.9);
-  EXPECT_EQ(sched.effective_tau_g(), 2u);
-  sched.observe_dirty_fraction(0.1);
-  EXPECT_EQ(sched.effective_tau_g(), 8u);
-}
-
-TEST(RefreshScheduler, ColdSignalDefersOnlyWhenEnabled) {
-  sgm::core::RefreshCadence cadence;
-  cadence.cold_fraction = 0.02;
-  cadence.cold_multiplier = 2;
-  RefreshScheduler sched(/*tau_e=*/1, /*tau_g=*/5, cadence);
-  sched.observe_dirty_fraction(0.0);
-  EXPECT_EQ(sched.effective_tau_g(), 10u);
-  // Default cadence: a zero fraction must NOT defer (cold path disabled).
-  RefreshScheduler plain(/*tau_e=*/1, /*tau_g=*/5);
-  plain.observe_dirty_fraction(0.0);
-  EXPECT_EQ(plain.effective_tau_g(), 5u);
-}
-
-TEST(RefreshScheduler, SignalClampsAndClears) {
-  RefreshScheduler sched(/*tau_e=*/1, /*tau_g=*/8);
-  sched.observe_dirty_fraction(7.5);  // clamped into [0, 1]
-  EXPECT_DOUBLE_EQ(sched.dirty_fraction(), 1.0);
-  EXPECT_EQ(sched.effective_tau_g(), 2u);
-  sched.observe_dirty_fraction(-1.0);  // negative clears back to legacy
-  EXPECT_FALSE(sched.has_dirty_signal());
-  EXPECT_EQ(sched.effective_tau_g(), 8u);
-}
-
-TEST(RefreshScheduler, AcceleratedPeriodFloorsAtOneAndZeroStaysDisabled) {
-  RefreshScheduler tiny(/*tau_e=*/1, /*tau_g=*/2);
-  tiny.observe_dirty_fraction(1.0);
-  EXPECT_EQ(tiny.effective_tau_g(), 1u);  // 2/4 floors at 1
-
-  RefreshScheduler off(/*tau_e=*/1, /*tau_g=*/0);
-  off.observe_dirty_fraction(1.0);
-  EXPECT_EQ(off.effective_tau_g(), 0u);
-  for (std::uint64_t it = 0; it <= 50; ++it)
-    EXPECT_FALSE(off.should_rebuild(it));
-}
-
-TEST(RefreshScheduler, CadenceIsAPureFunctionOfItsInputs) {
-  // Same iteration/signal stream twice => identical fire pattern. This is
-  // the "never wall-clock" pin: there is no clock to diverge on.
-  auto run = [] {
-    RefreshScheduler sched(/*tau_e=*/1, /*tau_g=*/8);
-    std::vector<std::uint64_t> fired;
-    for (std::uint64_t it = 0; it <= 40; ++it) {
-      if (it == 10) sched.observe_dirty_fraction(0.8);
-      if (it == 25) sched.observe_dirty_fraction(0.05);
-      if (sched.should_rebuild(it)) fired.push_back(it);
-    }
-    return fired;
-  };
-  const auto a = run();
-  const auto b = run();
-  EXPECT_EQ(a, b);
-  EXPECT_FALSE(a.empty());
-}
-
 }  // namespace

@@ -9,11 +9,10 @@
 //      recorded loss and validation error bitwise equal — with the thread
 //      count applied to BOTH the sampler rebuilds (PR 2) and the training
 //      step's threaded forward/backward tape kernels (PR 4);
-//  (d) the scenario's incremental-refresh configuration (PR 5:
-//      ScenarioConfig::sgm_incremental — IncrementalRefreshEngine with
-//      output-weighted rebuilds and the dirty-fraction-aware cadence) also
-//      trains inside the envelopes, actually rebuilds, and stays
-//      byte-identical at 1 vs 4 threads.
+//  (d) the scenario's SGM options with output-weighted rebuilds (the live
+//      network's outputs folded into the PGM metric at each tau_G, the
+//      paper's rebuild) also train inside the envelopes, actually rebuild,
+//      and stay byte-identical at 1 vs 4 threads.
 //
 // The smoke budgets keep each scenario in the seconds range; the harness is
 // the one-invocation answer to "does the pipeline still work" after any
@@ -67,28 +66,29 @@ TrainHistory run_sgm(const ScenarioConfig& cfg, std::size_t num_threads) {
   return trainer.run();
 }
 
-struct IncrementalRun {
+struct OutputWeightedRun {
   TrainHistory history;
   std::uint64_t rebuilds = 0;
 };
 
-IncrementalRun run_sgm_incremental(const ScenarioConfig& cfg,
-                                   std::size_t num_threads) {
+OutputWeightedRun run_sgm_output_weighted(const ScenarioConfig& cfg,
+                                          std::size_t num_threads) {
   sgm::util::Rng net_rng(cfg.net_seed);
   sgm::nn::Mlp net(cfg.net, net_rng);
-  sgm::core::SgmOptions sopt = cfg.sgm_incremental;
+  sgm::core::SgmOptions sopt = cfg.sgm;
+  sopt.rebuild_output_weight = 0.5;
   sopt.num_threads = num_threads;
   sgm::pinn::TrainerOptions topt = cfg.trainer;
   topt.num_threads = num_threads;
   sgm::core::SgmSampler sampler(cfg.problem->interior_points(), sopt);
-  // Output-weighted rebuilds drive the dirty tracking: the provider is the
-  // live network, evaluated over all points at each rebuild boundary.
+  // The provider is the live network, evaluated over all points at each
+  // rebuild boundary.
   sampler.set_outputs_provider([&](const std::vector<std::uint32_t>& rows) {
     return net.forward(
         sgm::pinn::gather_rows(cfg.problem->interior_points(), rows));
   });
   sgm::pinn::Trainer trainer(*cfg.problem, net, sampler, topt);
-  IncrementalRun run;
+  OutputWeightedRun run;
   run.history = trainer.run();
   run.rebuilds = sampler.rebuild_count();
   return run;
@@ -136,21 +136,22 @@ TEST_P(ScenarioE2E, TrainsUnderUniformAndSgmWithThreadInvariance) {
   sgm::pinn::testutil::expect_identical_histories(
       sgm1, sgm4, name + "/sgm threads 1 vs 4");
 
-  // (d) the incremental-refresh configuration: trains, rebuilds through the
-  // engine, holds the envelopes, and is thread-invariant too.
-  ASSERT_TRUE(cfg.sgm_incremental.incremental_refresh) << name;
-  const IncrementalRun inc1 = run_sgm_incremental(cfg, /*num_threads=*/1);
-  EXPECT_GT(inc1.history.sampler_loss_evaluations, 0u)
-      << name << ": incremental SGM never refreshed";
-  EXPECT_GE(inc1.rebuilds, 1u)
-      << name << ": incremental engine never rebuilt";
-  expect_loss_decreased(inc1.history, name + "/sgm-incremental");
-  expect_envelopes(cfg, inc1.history, name + "/sgm-incremental");
+  // (d) output-weighted rebuilds: trains, rebuilds, holds the envelopes,
+  // and is thread-invariant too.
+  const OutputWeightedRun ow1 =
+      run_sgm_output_weighted(cfg, /*num_threads=*/1);
+  EXPECT_GT(ow1.history.sampler_loss_evaluations, 0u)
+      << name << ": output-weighted SGM never refreshed";
+  EXPECT_GE(ow1.rebuilds, 1u)
+      << name << ": output-weighted SGM never rebuilt";
+  expect_loss_decreased(ow1.history, name + "/sgm-output-weighted");
+  expect_envelopes(cfg, ow1.history, name + "/sgm-output-weighted");
 
-  const IncrementalRun inc4 = run_sgm_incremental(cfg, /*num_threads=*/4);
-  EXPECT_EQ(inc1.rebuilds, inc4.rebuilds) << name << "/sgm-incremental";
+  const OutputWeightedRun ow4 =
+      run_sgm_output_weighted(cfg, /*num_threads=*/4);
+  EXPECT_EQ(ow1.rebuilds, ow4.rebuilds) << name << "/sgm-output-weighted";
   sgm::pinn::testutil::expect_identical_histories(
-      inc1.history, inc4.history, name + "/sgm-incremental threads 1 vs 4");
+      ow1.history, ow4.history, name + "/sgm-output-weighted threads 1 vs 4");
 }
 
 // The deployment leg: train -> publish a versioned checkpoint -> serve the
