@@ -1,10 +1,13 @@
 // Sampler refresh overhead (Sections 3.1/3.5): SGM-PINN's key efficiency
 // claim is that scoring r% of each cluster replaces scoring every sample.
 // This bench measures one refresh of each strategy against the same
-// network/problem, plus the per-refresh forward-pass counts.
+// network/problem, plus the per-refresh forward-pass counts, and the full
+// S1/S2 rebuild of the registered LDC and annulus scenarios.
 
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -12,6 +15,7 @@
 #include "core/sgm_sampler.hpp"
 #include "nn/mlp.hpp"
 #include "pinn/pde.hpp"
+#include "pinn/scenario.hpp"
 #include "samplers/mis.hpp"
 #include "util/rng.hpp"
 
@@ -140,33 +144,48 @@ void BM_RefreshSgmWithIsr(benchmark::State& state) {
 BENCHMARK(BM_RefreshSgmWithIsr)->Arg(4096)->Arg(16384)
     ->Unit(benchmark::kMillisecond);
 
+// The registered kFull configurations whose rebuild BM_GraphRebuildTauG
+// times, made once per process (LDC's includes its reference solve).
+const pinn::ScenarioConfig& registered_full(std::int64_t which) {
+  static const std::array<pinn::ScenarioConfig, 2> configs = {
+      pinn::ScenarioRegistry::instance().make("ldc_zeroeq",
+                                              pinn::ScenarioScale::kFull),
+      pinn::ScenarioRegistry::instance().make("annular_ring_param",
+                                              pinn::ScenarioScale::kFull)};
+  return configs.at(static_cast<std::size_t>(which));
+}
+
 void BM_GraphRebuildTauG(benchmark::State& state) {
-  // The tau_G path: full S1+S2 rebuild. Second arg = num_threads for the
-  // parallel refresh engine (1 = serial path); the 50k-point rows are the
-  // scaling check for the thread-pool speedup, and the clustering is
-  // byte-identical at every thread count.
-  Fixture fx(static_cast<std::size_t>(state.range(0)));
+  // The tau_G path: one full S1+S2 rebuild (kNN PGM, ER embedding, LRD
+  // merge) of a registered scenario, on its points with its cfg.sgm
+  // options. First arg = scenario (0 = ldc_zeroeq: 16,384 points, k = 20,
+  // L = 10; 1 = annular_ring_param: 16,384 points, k = 7, L = 6), second =
+  // num_threads. The clustering is byte-identical at every thread count.
+  // Time is wall; CPU is the whole process's, pool workers included.
+  const pinn::ScenarioConfig& cfg = registered_full(state.range(0));
   const auto threads = static_cast<std::size_t>(state.range(1));
-  core::PgmOptions pgm;
-  pgm.knn.k = 10;
-  pgm.num_threads = threads;
-  graph::LrdOptions lrd;
-  lrd.levels = 8;
-  lrd.num_threads = threads;
+  core::PgmOptions pgm = cfg.sgm.pgm;
+  graph::LrdOptions lrd = cfg.sgm.lrd;
+  pgm.num_threads = lrd.num_threads = threads;
+  graph::NodeId clusters = 0;
   for (auto _ : state) {
-    auto g = core::build_pgm(fx.problem.interior_points(), nullptr, pgm);
+    auto g = core::build_pgm(cfg.problem->interior_points(), nullptr, pgm);
     auto c = graph::lrd_decompose(g, lrd);
-    benchmark::DoNotOptimize(c.num_clusters);
+    clusters = c.num_clusters;
+    benchmark::DoNotOptimize(clusters);
   }
+  state.SetLabel(cfg.name);
   state.counters["num_threads"] =
       benchmark::Counter(static_cast<double>(threads));
+  state.counters["clusters"] = benchmark::Counter(clusters);
 }
 BENCHMARK(BM_GraphRebuildTauG)
-    ->Args({4096, 1})
-    ->Args({16384, 1})
-    ->Args({16384, 4})
-    ->Args({50000, 1})
-    ->Args({50000, 4})
+    ->Args({0, 1})
+    ->Args({0, 4})
+    ->Args({1, 1})
+    ->Args({1, 4})
+    ->MeasureProcessCPUTime()
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

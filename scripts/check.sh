@@ -10,7 +10,8 @@
 # histories are byte-identical.
 # --bench builds Release and runs the train-step benchmark, the full S1/S2
 # rebuild benchmark (bench_overhead_sampling's GraphRebuildTauG rows: kNN
-# PGM + ER embedding + LRD merge at 4k-50k points, 1 and 4 threads) and the
+# PGM + ER embedding + LRD merge of the registered ldc_zeroeq and
+# annular_ring_param kFull builds, 1 and 4 threads) and the
 # serving-engine benchmark with SGM_BENCH_JSON=1, leaving
 # BENCH_train_step.json, BENCH_overhead_sampling.json and BENCH_serve.json
 # in the build dir (the perf-smoke / serve-smoke CI jobs do the same;

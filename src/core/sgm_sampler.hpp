@@ -83,7 +83,6 @@ class SgmSampler final : public samplers::Sampler {
   const ClusterScores& last_scores() const { return last_scores_; }
   std::size_t last_epoch_size() const { return last_epoch_size_; }
   std::uint64_t rebuild_count() const { return rebuild_count_; }
-  const RefreshScheduler& scheduler() const { return schedule_; }
 
  private:
   void rebuild_clusters();

@@ -116,10 +116,10 @@ EnvelopeCholesky::EnvelopeCholesky(const CsrGraph& g, double sigma) {
     double* row = values_.data() + row_ptr_[i];
     row[i - first_[i]] = g.weighted_degree(u) + sigma;
     const auto nbrs = g.neighbors(u);
-    const auto eids = g.incident_edges(u);
+    const auto w = g.neighbor_weights(u);
     for (std::size_t t = 0; t < nbrs.size(); ++t) {
       const std::size_t j = pos[nbrs[t]];
-      if (j < i) row[j - first_[i]] -= g.edge(eids[t]).w;
+      if (j < i) row[j - first_[i]] -= w[t];
     }
   }
 

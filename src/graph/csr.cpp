@@ -21,17 +21,29 @@ CsrGraph CsrGraph::from_edges(NodeId num_nodes, std::vector<Edge> edges) {
     if (e.u > e.v) std::swap(e.u, e.v);
   }
   std::erase_if(edges, [](const Edge& e) { return e.u == e.v; });
-  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+  const auto less = [](const Edge& a, const Edge& b) {
     return a.u != b.u ? a.u < b.u : a.v < b.v;
-  });
-  for (const auto& e : edges) {
-    if (!g.edges_.empty() && g.edges_.back().u == e.u &&
-        g.edges_.back().v == e.v) {
-      g.edges_.back().w += e.w;
-    } else {
-      g.edges_.push_back(e);
+  };
+  const auto not_less = [&](const Edge& a, const Edge& b) {
+    return !less(a, b);
+  };
+  if (std::adjacent_find(edges.begin(), edges.end(), not_less) ==
+      edges.end()) {
+    // Already strictly sorted, so unique: nothing to sort or merge. The copy
+    // is sized to the list, not to the caller's (possibly larger) capacity.
+    g.edges_.assign(edges.begin(), edges.end());
+  } else {
+    std::sort(edges.begin(), edges.end(), less);
+    for (const auto& e : edges) {
+      if (!g.edges_.empty() && g.edges_.back().u == e.u &&
+          g.edges_.back().v == e.v) {
+        g.edges_.back().w += e.w;
+      } else {
+        g.edges_.push_back(e);
+      }
     }
   }
+  std::vector<Edge>().swap(edges);  // freed before the CSR arrays grow
 
   // CSR assembly (each unique edge appears in both endpoints' rows).
   g.offsets_.assign(num_nodes + 1, 0);
@@ -41,14 +53,13 @@ CsrGraph CsrGraph::from_edges(NodeId num_nodes, std::vector<Edge> edges) {
   }
   for (NodeId i = 0; i < num_nodes; ++i) g.offsets_[i + 1] += g.offsets_[i];
   g.nbr_.resize(g.offsets_[num_nodes]);
-  g.inc_.resize(g.offsets_[num_nodes]);
+  g.nbr_w_.resize(g.offsets_[num_nodes]);
   std::vector<std::size_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
-  for (EdgeId idx = 0; idx < g.edges_.size(); ++idx) {
-    const Edge& e = g.edges_[idx];
+  for (const Edge& e : g.edges_) {
     g.nbr_[cursor[e.u]] = e.v;
-    g.inc_[cursor[e.u]++] = idx;
+    g.nbr_w_[cursor[e.u]++] = e.w;
     g.nbr_[cursor[e.v]] = e.u;
-    g.inc_[cursor[e.v]++] = idx;
+    g.nbr_w_[cursor[e.v]++] = e.w;
   }
 
   g.wdeg_.assign(num_nodes, 0.0);
@@ -61,13 +72,13 @@ CsrGraph CsrGraph::from_edges(NodeId num_nodes, std::vector<Edge> edges) {
 }
 
 void CsrGraph::audit() const {
-  audit_csr_arrays(num_nodes_, edges_, offsets_, nbr_, inc_, wdeg_);
+  audit_csr_arrays(num_nodes_, edges_, offsets_, nbr_, nbr_w_, wdeg_);
 }
 
 void audit_csr_arrays(NodeId num_nodes, const std::vector<Edge>& edges,
                       const std::vector<std::size_t>& offsets,
                       const std::vector<NodeId>& nbr,
-                      const std::vector<EdgeId>& inc,
+                      const std::vector<double>& nbr_w,
                       const std::vector<double>& wdeg) {
   // Canonical edge list: u < v, strictly sorted (so unique), positive w.
   for (EdgeId i = 0; i < edges.size(); ++i) {
@@ -93,28 +104,33 @@ void audit_csr_arrays(NodeId num_nodes, const std::vector<Edge>& edges,
             "offsets[n] = ", offsets[num_nodes], " != 2|E| = ",
             2 * edges.size());
   SGM_CHECK(nbr.size() == 2 * edges.size(), "nbr size mismatch");
-  SGM_CHECK(inc.size() == 2 * edges.size(), "inc size mismatch");
+  SGM_CHECK(nbr_w.size() == 2 * edges.size(), "nbr_w size mismatch");
 
-  // Adjacency consistency + symmetry: every slot of u's row references an
-  // edge incident to u, the neighbor is the edge's other endpoint, and each
-  // edge id appears exactly once per endpoint (hence exactly twice total).
+  // Adjacency consistency + symmetry: every slot of u's row names an edge
+  // (u, v) of the list and carries its weight, and each edge appears exactly
+  // once in its u row and once in its v row.
+  const auto less = [](const Edge& a, const Edge& b) {
+    return a.u != b.u ? a.u < b.u : a.v < b.v;
+  };
   std::vector<int> seen(edges.size(), 0);
   for (NodeId u = 0; u < num_nodes; ++u) {
     for (std::size_t s = offsets[u]; s < offsets[u + 1]; ++s) {
-      const EdgeId id = inc[s];
-      SGM_CHECK(id < edges.size(), "inc slot ", s, " edge id out of range");
-      const Edge& e = edges[id];
-      SGM_CHECK(e.u == u || e.v == u, "edge ", id, " in row ", u,
-                " is not incident to it");
-      const NodeId other = e.u == u ? e.v : e.u;
-      SGM_CHECK(nbr[s] == other, "nbr slot ", s, " is ", nbr[s],
-                " but edge ", id, " says ", other);
-      ++seen[id];
+      const NodeId other = nbr[s];
+      const Edge key{std::min(u, other), std::max(u, other), 0.0};
+      const auto it = std::lower_bound(edges.begin(), edges.end(), key, less);
+      SGM_CHECK(it != edges.end() && it->u == key.u && it->v == key.v,
+                "nbr slot ", s, " of row ", u, " names ", other,
+                ", but the edge list has no edge (", key.u, ", ", key.v, ")");
+      SGM_CHECK(nbr_w[s] == it->w, "nbr slot ", s, " of row ", u,
+                " carries weight ", nbr_w[s], " but edge (", key.u, ", ",
+                key.v, ") has ", it->w);
+      seen[static_cast<std::size_t>(it - edges.begin())] +=
+          u == key.u ? 1 : 2;
     }
   }
   for (EdgeId i = 0; i < edges.size(); ++i)
-    SGM_CHECK(seen[i] == 2, "edge ", i, " appears ", seen[i],
-              " times in the adjacency (want 2: symmetry)");
+    SGM_CHECK(seen[i] == 3, "edge ", i,
+              " is not in each endpoint's row exactly once (symmetry)");
 
   // Weighted degrees re-derivable from the edge list.
   SGM_CHECK(wdeg.size() == num_nodes, "wdeg size mismatch");

@@ -4,8 +4,10 @@
 // The graph is the probabilistic graphical model (PGM) of the paper: nodes
 // are collocation points, edge weights encode conditional dependence
 // (inverse distance on the kNN graph). Unique edges are stored once
-// (u < v); the CSR adjacency references edges by index so per-edge
-// quantities (effective resistance, ISR scores) live in plain arrays.
+// (u < v), so per-edge quantities (effective resistance, ISR scores) live in
+// plain arrays aligned with edges(). The CSR adjacency carries each slot's
+// edge weight beside its neighbor id, so a Laplacian sweep reads both
+// contiguously instead of looking the weight up through the edge list.
 
 #include <cstdint>
 #include <span>
@@ -28,7 +30,8 @@ class CsrGraph {
 
   /// Builds from an edge list over `num_nodes` nodes. Self-loops are
   /// dropped; duplicate (u,v) pairs have their weights summed. Weights must
-  /// be positive.
+  /// be positive. A list that is already canonical (u < v, strictly sorted,
+  /// as symmetrize_edges leaves it) is taken as is, without a re-sort.
   static CsrGraph from_edges(NodeId num_nodes, std::vector<Edge> edges);
 
   NodeId num_nodes() const { return num_nodes_; }
@@ -41,9 +44,10 @@ class CsrGraph {
   std::span<const NodeId> neighbors(NodeId u) const {
     return {nbr_.data() + offsets_[u], nbr_.data() + offsets_[u + 1]};
   }
-  /// Edge ids incident to `u`, aligned with neighbors(u).
-  std::span<const EdgeId> incident_edges(NodeId u) const {
-    return {inc_.data() + offsets_[u], inc_.data() + offsets_[u + 1]};
+  /// Edge weights aligned with neighbors(u): the weight of the edge
+  /// (u, neighbors(u)[i]) is neighbor_weights(u)[i].
+  std::span<const double> neighbor_weights(NodeId u) const {
+    return {nbr_w_.data() + offsets_[u], nbr_w_.data() + offsets_[u + 1]};
   }
 
   std::size_t degree(NodeId u) const { return offsets_[u + 1] - offsets_[u]; }
@@ -60,10 +64,11 @@ class CsrGraph {
 
   /// Heavy invariant sweep (SGM_CHECK-based; see util/check.hpp): canonical
   /// u < v sorted unique edge list with positive weights, consistent CSR
-  /// offsets/adjacency, symmetric neighbor lists (v in N(u) iff u in N(v),
-  /// through the same edge id), and weighted degrees that match the edge
-  /// list. Throws util::CheckError on the first violation. from_edges runs
-  /// it automatically when SGM_AUDIT=1; tier-1 tests call it directly.
+  /// offsets/adjacency, symmetric neighbor lists (every edge (u, v) appears
+  /// once in u's row and once in v's, each slot carrying the edge's weight),
+  /// and weighted degrees that match the edge list. Throws util::CheckError
+  /// on the first violation. from_edges runs it automatically when
+  /// SGM_AUDIT=1; tier-1 tests call it directly.
   void audit() const;
 
  private:
@@ -71,7 +76,7 @@ class CsrGraph {
   std::vector<Edge> edges_;
   std::vector<std::size_t> offsets_;  // n+1
   std::vector<NodeId> nbr_;
-  std::vector<EdgeId> inc_;
+  std::vector<double> nbr_w_;  // per adjacency slot, aligned with nbr_
   std::vector<double> wdeg_;
 };
 
@@ -80,7 +85,7 @@ class CsrGraph {
 void audit_csr_arrays(NodeId num_nodes, const std::vector<Edge>& edges,
                       const std::vector<std::size_t>& offsets,
                       const std::vector<NodeId>& nbr,
-                      const std::vector<EdgeId>& inc,
+                      const std::vector<double>& nbr_w,
                       const std::vector<double>& wdeg);
 
 }  // namespace sgm::graph

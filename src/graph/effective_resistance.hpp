@@ -10,11 +10,13 @@
 //  * kExact      — dense eigendecomposition, Z = U diag(lambda^-1/2); O(n^3),
 //                  the test oracle for tiny graphs.
 //  * kSmoothed   — HyperEF-style Krylov smoothing: t random vectors smoothed
-//                  by a few Jacobi iterations, orthogonalized to the constant
-//                  vector. No linear solves; nearly-linear time. This is the
-//                  scalable path referenced in Section 3.3 of the paper and
-//                  the default inside LRD. It produces *relative* (rank-
-//                  preserving) rather than calibrated estimates.
+//                  by damped Richardson sweeps, orthogonalized to the
+//                  constant vector, the columns swept in groups (one block
+//                  SpMV per group). No linear solves; nearly-linear time.
+//                  This is the scalable path referenced in Section 3.3 of
+//                  the paper and the default inside LRD. It produces
+//                  *relative* (rank-preserving) rather than calibrated
+//                  estimates.
 
 #include <cstdint>
 #include <vector>
@@ -29,10 +31,12 @@ enum class ErMethod { kExact, kSmoothed };
 struct ErOptions {
   ErMethod method = ErMethod::kSmoothed;
   int num_vectors = 12;        ///< t: embedding width (kSmoothed)
-  int smoothing_iterations = 40;  ///< Jacobi sweeps for kSmoothed
+  int smoothing_iterations = 40;  ///< Richardson sweeps for kSmoothed
   std::uint64_t seed = 1234;
-  /// Worker threads for the per-column smoothing (kSmoothed; random draws
-  /// stay serial so the stream is thread-count independent). 0 =
+  /// Worker threads for the smoothing (kSmoothed), one pool task per group
+  /// of 4 columns: at most ceil(t / 4) tasks (3 at t = 12), so threads past
+  /// that count sit idle; timed at 1 and 4 threads only. The random draws
+  /// stay serial, so the stream is thread-count independent. 0 =
   /// util::resolve_threads default, 1 = serial. Any value yields
   /// byte-identical embeddings.
   std::size_t num_threads = 0;

@@ -26,8 +26,8 @@ inline double dist2(const double* a, const double* b, std::size_t d) {
 // (dist2, index) pairs seen so far. Comparing the full pair (not just the
 // distance) makes tie-breaking canonical: the selected set depends only on
 // the candidate multiset, never on traversal order.
-inline void heap_push(std::vector<std::pair<double, NodeId>>& heap,
-                      std::size_t k, double d2, NodeId idx) {
+inline void heap_push(KdTree::Neighbors& heap, std::size_t k, double d2,
+                      NodeId idx) {
   const std::pair<double, NodeId> cand{d2, idx};
   if (heap.size() < k) {
     heap.push_back(cand);
@@ -39,7 +39,7 @@ inline void heap_push(std::vector<std::pair<double, NodeId>>& heap,
   }
 }
 
-KnnResult heap_to_result(std::vector<std::pair<double, NodeId>> heap) {
+KnnResult heap_to_result(KdTree::Neighbors heap) {
   std::sort_heap(heap.begin(), heap.end());
   KnnResult r;
   r.index.reserve(heap.size());
@@ -104,8 +104,7 @@ std::int32_t KdTree::build(std::uint32_t begin, std::uint32_t end, int depth) {
 }
 
 void KdTree::search(std::int32_t node, const double* q, std::size_t k,
-                    std::int64_t exclude,
-                    std::vector<std::pair<double, NodeId>>& heap) const {
+                    std::int64_t exclude, Neighbors& heap) const {
   const Node& nd = nodes_[node];
   if (nd.leaf) {
     for (std::uint32_t i = nd.begin; i < nd.end; ++i) {
@@ -126,23 +125,22 @@ void KdTree::search(std::int32_t node, const double* q, std::size_t k,
 }
 
 KnnResult KdTree::query(const double* query, std::size_t k) const {
-  std::vector<std::pair<double, NodeId>> heap;
+  Neighbors heap;
   heap.reserve(k + 1);
   if (n_ > 0 && k > 0) search(0, query, k, -1, heap);
   return heap_to_result(std::move(heap));
 }
 
-KnnResult KdTree::query_point(NodeId i, std::size_t k) const {
-  std::vector<std::pair<double, NodeId>> heap;
-  heap.reserve(k + 1);
+void KdTree::query_point(NodeId i, std::size_t k, Neighbors& out) const {
+  out.clear();
   if (n_ > 0 && k > 0)
-    search(0, pts_.row(i), k, static_cast<std::int64_t>(i), heap);
-  return heap_to_result(std::move(heap));
+    search(0, pts_.row(i), k, static_cast<std::int64_t>(i), out);
+  std::sort_heap(out.begin(), out.end());
 }
 
 KnnResult knn_brute_force(const Matrix& points, const double* query,
                           std::size_t k, std::int64_t exclude) {
-  std::vector<std::pair<double, NodeId>> heap;
+  KdTree::Neighbors heap;
   heap.reserve(k + 1);
   for (std::size_t i = 0; i < points.rows(); ++i) {
     if (static_cast<std::int64_t>(i) == exclude) continue;
@@ -207,89 +205,28 @@ void symmetrize_edges(std::vector<Edge>& edges, std::size_t num_threads) {
 
 namespace {
 
-// Mean kNN distance over all result lists (the Gauss weight scale); 1.0 for
-// an empty or degenerate sweep. Per-chunk partial sums are merged in chunk
-// order, so sigma is bit-identical for every thread count.
-double mean_knn_distance(const std::vector<KnnResult>& nn,
-                         std::size_t num_threads) {
-  constexpr std::size_t kGrain = 256;
-  const std::size_t n = nn.size();
+constexpr std::size_t kGrain = 256;  // points per chunk of every sweep below
+
+// Gauss weight scale: the mean kNN distance over every point's k slots
+// (edges[i k + t].w holds dist2 here); 1.0 for an empty or degenerate
+// sweep. Per-chunk partial sums are merged in chunk order, so sigma is
+// bit-identical for every thread count.
+double mean_knn_distance(const std::vector<Edge>& edges, std::size_t n,
+                         std::size_t k, std::size_t num_threads) {
   const std::size_t chunks = util::num_chunks(0, n, kGrain);
   std::vector<double> chunk_dist(chunks, 0.0);
-  std::vector<std::size_t> chunk_count(chunks, 0);
   util::parallel_for_chunks(
       0, n, kGrain, num_threads,
       [&](std::size_t b, std::size_t e, std::size_t c) {
         double s = 0.0;
-        std::size_t cnt = 0;
-        for (std::size_t i = b; i < e; ++i) {
-          for (double d2v : nn[i].dist2) {
-            s += std::sqrt(d2v);
-            ++cnt;
-          }
-        }
+        for (std::size_t slot = b * k; slot < e * k; ++slot)
+          s += std::sqrt(edges[slot].w);
         chunk_dist[c] = s;
-        chunk_count[c] = cnt;
       });
   double mean_dist = 0.0;
-  std::size_t dist_count = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    mean_dist += chunk_dist[c];
-    dist_count += chunk_count[c];
-  }
-  if (dist_count > 0) mean_dist /= static_cast<double>(dist_count);
+  for (std::size_t c = 0; c < chunks; ++c) mean_dist += chunk_dist[c];
+  if (n * k > 0) mean_dist /= static_cast<double>(n * k);
   return mean_dist > 0 ? mean_dist : 1.0;
-}
-
-// The undirected edge list from per-point kNN results: weighting, the
-// optional mutual filter, then symmetrize/sort/dedup.
-CsrGraph graph_from_nn(const std::vector<KnnResult>& nn, std::size_t n,
-                       std::size_t k, const KnnGraphOptions& options,
-                       double sigma) {
-  auto weight_of = [&](double d2v) {
-    const double d = std::sqrt(d2v);
-    switch (options.weight) {
-      case KnnWeight::kUnit: return 1.0;
-      case KnnWeight::kInverse: return 1.0 / (d + options.inverse_eps);
-      case KnnWeight::kGauss: return std::exp(-d2v / (2.0 * sigma * sigma));
-    }
-    return 1.0;
-  };
-
-  // Per-chunk edge lists concatenated in chunk order keep the pre-sort edge
-  // sequence identical to the serial one.
-  constexpr std::size_t kGrain = 256;
-  const std::size_t chunks = util::num_chunks(0, n, kGrain);
-  std::vector<std::vector<Edge>> chunk_edges(chunks);
-  util::parallel_for_chunks(
-      0, n, kGrain, options.num_threads,
-      [&](std::size_t b, std::size_t e, std::size_t c) {
-        auto& out = chunk_edges[c];
-        out.reserve((e - b) * k);
-        for (std::size_t i = b; i < e; ++i) {
-          for (std::size_t t = 0; t < nn[i].index.size(); ++t) {
-            const NodeId j = nn[i].index[t];
-            if (options.mutual) {
-              // Keep (i,j) only when j in kNN(i) AND i in kNN(j).
-              if (j <= i) continue;  // handle each unordered pair once
-              const auto& back = nn[j].index;
-              if (std::find(back.begin(), back.end(),
-                            static_cast<NodeId>(i)) == back.end())
-                continue;
-            }
-            out.push_back(
-                {static_cast<NodeId>(i), j, weight_of(nn[i].dist2[t])});
-          }
-        }
-      });
-  std::vector<Edge> edges;
-  edges.reserve(n * k);
-  for (auto& ce : chunk_edges)
-    edges.insert(edges.end(), ce.begin(), ce.end());
-  // from_edges merges duplicates by *summing*; halve symmetric duplicates by
-  // pre-deduplicating instead, so union edges keep their single weight.
-  symmetrize_edges(edges, options.num_threads);
-  return CsrGraph::from_edges(static_cast<NodeId>(n), std::move(edges));
 }
 
 }  // namespace
@@ -298,19 +235,75 @@ CsrGraph build_knn_graph(const Matrix& points, const KnnGraphOptions& options) {
   const std::size_t n = points.rows();
   if (n == 0) return CsrGraph();
   const std::size_t k = std::min(options.k, n - 1);
-  KdTree tree(points);
+  const std::size_t threads = options.num_threads;
 
-  // Directed candidate lists; weighted and symmetrized by graph_from_nn.
-  constexpr std::size_t kGrain = 256;
-  std::vector<KnnResult> nn(n);
+  // Directed candidates, point i's k neighbors in slots [i k, i k + k),
+  // ascending by (dist2, index); w holds dist2 until the weighting pass.
+  // The tree excludes i itself and holds n - 1 >= k others, so a query
+  // comes back short only when a NaN coordinate prunes the search; its
+  // missing slots become the self-loop (i, i), which from_edges drops.
+  std::vector<Edge> edges(n * k);
+  {
+    const KdTree tree(points);
+    util::parallel_for_chunks(
+        0, n, kGrain, threads, [&](std::size_t b, std::size_t e, std::size_t) {
+          KdTree::Neighbors nbrs;
+          nbrs.reserve(k + 1);
+          for (std::size_t i = b; i < e; ++i) {
+            const auto id = static_cast<NodeId>(i);
+            tree.query_point(id, k, nbrs);
+            for (std::size_t t = 0; t < k; ++t)
+              edges[i * k + t] = t < nbrs.size()
+                                     ? Edge{id, nbrs[t].second, nbrs[t].first}
+                                     : Edge{id, id, 0.0};
+          }
+        });
+  }
+
+  const double sigma = options.weight == KnnWeight::kGauss
+                           ? mean_knn_distance(edges, n, k, threads)
+                           : 1.0;
+  if (options.mutual) {
+    // Keep (i, j) only when j in kNN(i) AND i in kNN(j), once per pair (from
+    // i < j). A dropped slot becomes the self-loop (j, j): only .u is
+    // written, and the membership test reads only .v. Removing the
+    // self-loops in order leaves the kept edges in slot order.
+    util::parallel_for_chunks(
+        0, n, kGrain, threads, [&](std::size_t b, std::size_t e, std::size_t) {
+          for (std::size_t slot = b * k; slot < e * k; ++slot) {
+            const NodeId i = edges[slot].u, j = edges[slot].v;
+            const Edge* back = edges.data() + std::size_t{j} * k;
+            const bool mutual =
+                j > i && std::any_of(back, back + k, [i](const Edge& nb) {
+                  return nb.v == i;
+                });
+            if (!mutual) edges[slot].u = j;
+          }
+        });
+    std::erase_if(edges, [](const Edge& e) { return e.u == e.v; });
+  }
+
+  const auto weight_of = [&](double d2v) {
+    switch (options.weight) {
+      case KnnWeight::kUnit: return 1.0;
+      case KnnWeight::kInverse:
+        return 1.0 / (std::sqrt(d2v) + options.inverse_eps);
+      case KnnWeight::kGauss: return std::exp(-d2v / (2.0 * sigma * sigma));
+    }
+    return 1.0;
+  };
   util::parallel_for_chunks(
-      0, n, kGrain, options.num_threads,
+      0, edges.size(), kGrain * k, threads,
       [&](std::size_t b, std::size_t e, std::size_t) {
-        for (std::size_t i = b; i < e; ++i)
-          nn[i] = tree.query_point(static_cast<NodeId>(i), k);
+        for (std::size_t slot = b; slot < e; ++slot)
+          edges[slot].w = weight_of(edges[slot].w);
       });
-  return graph_from_nn(nn, n, k, options,
-                       mean_knn_distance(nn, options.num_threads));
+
+  // from_edges merges duplicates by *summing*; deduplicate the symmetric
+  // pairs first so union edges keep their single weight (the two directions
+  // of a pair carry bit-equal weights: dist2(i, j) == dist2(j, i)).
+  symmetrize_edges(edges, threads);
+  return CsrGraph::from_edges(static_cast<NodeId>(n), std::move(edges));
 }
 
 }  // namespace sgm::graph

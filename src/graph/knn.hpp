@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "graph/csr.hpp"
@@ -28,14 +29,19 @@ struct KnnResult {
 /// Exact kd-tree over the rows of a point matrix (n x d).
 class KdTree {
  public:
+  /// (dist2, index) pairs, ascending like KnnResult.
+  using Neighbors = std::vector<std::pair<double, NodeId>>;
+
   /// Builds over `points` (which is copied). d must be >= 1.
   explicit KdTree(const tensor::Matrix& points);
 
   /// k nearest neighbors of `query` (not excluding any index).
   KnnResult query(const double* query, std::size_t k) const;
 
-  /// k nearest neighbors of point `i`, excluding `i` itself.
-  KnnResult query_point(NodeId i, std::size_t k) const;
+  /// k nearest neighbors of point `i`, excluding `i` itself, left in `out`
+  /// ascending by (dist2, index). `out` is overwritten and its capacity
+  /// reused, so a bulk sweep allocates once per worker, not once per query.
+  void query_point(NodeId i, std::size_t k, Neighbors& out) const;
 
   std::size_t size() const { return n_; }
   std::size_t dim() const { return d_; }
@@ -51,7 +57,7 @@ class KdTree {
 
   std::int32_t build(std::uint32_t begin, std::uint32_t end, int depth);
   void search(std::int32_t node, const double* q, std::size_t k,
-              std::int64_t exclude, std::vector<std::pair<double, NodeId>>& heap) const;
+              std::int64_t exclude, Neighbors& heap) const;
 
   std::size_t n_ = 0, d_ = 0;
   tensor::Matrix pts_;
@@ -79,7 +85,7 @@ struct KnnGraphOptions {
   /// (a directed edge either way becomes one undirected edge). Union is the
   /// default — it keeps the PGM connected at small k.
   bool mutual = false;
-  /// Worker threads for the per-point queries and the edge
+  /// Worker threads for the per-point queries, the edge weighting and the
   /// symmetrize/sort/dedup. 0 = util::resolve_threads default (hardware
   /// concurrency / SGM_NUM_THREADS), 1 = serial. Any value produces
   /// byte-identical graphs (see util/thread_pool.hpp's determinism
@@ -87,7 +93,9 @@ struct KnnGraphOptions {
   std::size_t num_threads = 0;
 };
 
-/// Builds the undirected kNN PGM over rows of `points` (n x d).
+/// Builds the undirected kNN PGM over rows of `points` (n x d). The k
+/// neighbors of every point go straight into one flat n x k edge list,
+/// which is weighted, optionally mutual-filtered, then symmetrized in place.
 CsrGraph build_knn_graph(const tensor::Matrix& points,
                          const KnnGraphOptions& options);
 

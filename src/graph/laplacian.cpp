@@ -11,10 +11,9 @@ void laplacian_apply(const CsrGraph& g, const Vec& x, Vec& y) {
   y.assign(n, 0.0);
   for (NodeId u = 0; u < n; ++u) {
     const auto nbrs = g.neighbors(u);
-    const auto eids = g.incident_edges(u);
+    const auto w = g.neighbor_weights(u);
     double acc = g.weighted_degree(u) * x[u];
-    for (std::size_t t = 0; t < nbrs.size(); ++t)
-      acc -= g.edge(eids[t]).w * x[nbrs[t]];
+    for (std::size_t t = 0; t < nbrs.size(); ++t) acc -= w[t] * x[nbrs[t]];
     y[u] = acc;
   }
 }

@@ -1,7 +1,9 @@
 #pragma once
 // Graph Laplacian operators. The Laplacian is kept implicit (matrix-free):
 // L x = D x - A x computed straight off the CSR adjacency, which is all
-// Lanczos, ISR and the smoothed-embedding ER estimator need.
+// Lanczos and ISR need. The smoothed-embedding ER estimator sweeps blocks of
+// columns itself, rounding each element as laplacian_apply and
+// deflate_constant would on that column alone.
 
 #include <vector>
 
@@ -18,8 +20,9 @@ void laplacian_apply(const CsrGraph& g, const Vec& x, Vec& y);
 /// Dense Laplacian (n x n) — test/diagnostic use only.
 tensor::Matrix laplacian_dense(const CsrGraph& g);
 
-/// x_i -= mean(x): projects out the constant nullspace of a connected
-/// Laplacian. The smoothed ER estimator calls this on its random vectors.
+/// x_i -= mean(x), the mean summed in index order: projects out the
+/// constant nullspace of a connected Laplacian. The smoothed ER estimator
+/// deflates each of its columns in exactly this order.
 void deflate_constant(Vec& x);
 
 /// Euclidean inner product / norm helpers used across the solvers.

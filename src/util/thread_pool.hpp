@@ -1,6 +1,7 @@
 #pragma once
-// Fixed-size worker pool + deterministic parallel-for — the refresh engine's
-// threading substrate.
+// Fixed-size worker pool + deterministic parallel-for — the threading
+// substrate of the S1/S2 build (kNN queries, ER column groups, per-edge ER),
+// the tape kernels above their work floor and batched serving forwards.
 //
 // Determinism contract (what makes `num_threads=N` byte-identical to
 // `num_threads=1`): `parallel_for_chunks` splits an index range into chunks

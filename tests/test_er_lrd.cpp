@@ -3,11 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <string>
 #include <tuple>
+#include <utility>
 
 #include "graph/effective_resistance.hpp"
 #include "graph/knn.hpp"
+#include "graph/laplacian.hpp"
 #include "graph/lrd.hpp"
 #include "util/rng.hpp"
 
@@ -199,6 +206,111 @@ TEST(EffectiveResistance, SmoothedPreservesRankOrderGrossly) {
   }
   interior_mean /= static_cast<double>(interior_count);
   EXPECT_GT(pendant_er, 3.0 * interior_mean);
+}
+
+// The kSmoothed estimator one column at a time, spelled with the public
+// single-vector operators: the same serial draws (column by column, each
+// deflated), then per column `smoothing_iterations` of laplacian_apply,
+// x -= sigma y and deflate_constant, scaled by 1/sqrt(t).
+Matrix column_at_a_time_embedding(const CsrGraph& g, const ErOptions& opt) {
+  using sgm::graph::Vec;
+  const std::size_t n = g.num_nodes();
+  const std::size_t t = static_cast<std::size_t>(std::max(1, opt.num_vectors));
+  double d_max = 0.0;
+  for (sgm::graph::NodeId u = 0; u < n; ++u)
+    d_max = std::max(d_max, g.weighted_degree(u));
+  if (d_max <= 0.0) d_max = 1.0;
+  const double sigma = (2.0 / 3.0) / (2.0 * d_max);
+  sgm::util::Rng rng(opt.seed);
+  std::vector<Vec> cols(t, Vec(n));
+  for (Vec& x : cols) {
+    for (double& v : x) v = rng.uniform(-0.5, 0.5);
+    sgm::graph::deflate_constant(x);
+  }
+  Matrix z(n, t);
+  const double s = 1.0 / std::sqrt(static_cast<double>(t));
+  Vec y;
+  for (std::size_t c = 0; c < t; ++c) {
+    Vec& x = cols[c];
+    for (int it = 0; it < opt.smoothing_iterations; ++it) {
+      sgm::graph::laplacian_apply(g, x, y);
+      for (std::size_t i = 0; i < n; ++i) x[i] -= sigma * y[i];
+      sgm::graph::deflate_constant(x);
+    }
+    for (std::size_t r = 0; r < n; ++r) z(r, c) = x[r] * s;
+  }
+  return z;
+}
+
+// Count of elements whose bits differ (0 when bit-identical); the first
+// mismatch goes to the log.
+std::size_t bit_mismatches(const Matrix& a, const Matrix& b,
+                           const std::string& label) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) {
+    ADD_FAILURE() << label << ": shape " << a.rows() << "x" << a.cols()
+                  << " vs " << b.rows() << "x" << b.cols();
+    return 1;
+  }
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(a.data()[i]) ==
+        std::bit_cast<std::uint64_t>(b.data()[i]))
+      continue;
+    if (bad++ == 0)
+      ADD_FAILURE() << label << ": first mismatch at row " << i / a.cols()
+                    << " col " << i % a.cols() << ": " << a.data()[i]
+                    << " vs " << b.data()[i];
+  }
+  return bad;
+}
+
+TEST(EffectiveResistance, SmoothedIsBitIdenticalToColumnAtATimeSweeps) {
+  // The embedding sweeps its columns in groups; every element must still
+  // round exactly as a lone column through laplacian_apply and
+  // deflate_constant does, for any width t (tail groups included), sweep
+  // count and thread count.
+  sgm::util::Rng rng(31);
+  Matrix pts(700, 2);
+  for (std::size_t i = 0; i < pts.size(); ++i) pts.data()[i] = rng.uniform();
+  sgm::graph::KnnGraphOptions kopt;
+  kopt.k = 20;  // LDC's registered k
+  const CsrGraph cloud = sgm::graph::build_knn_graph(pts, kopt);
+
+  // Several components: two grids, a weighted path and isolated nodes.
+  std::vector<Edge> edges = grid_graph(9, 7).edges();
+  const CsrGraph small_grid = grid_graph(5, 5);
+  for (const Edge& e : small_grid.edges())
+    edges.push_back({e.u + 63, e.v + 63, 0.5});
+  for (std::uint32_t i = 88; i + 1 < 100; ++i)
+    edges.push_back({i, i + 1, 0.25 + 0.1 * (i - 88)});
+  const CsrGraph pieces = CsrGraph::from_edges(104, std::move(edges));
+  ASSERT_GT(pieces.connected_components().second, 3u);
+
+  for (const auto& [name, g] : {std::pair<const char*, const CsrGraph*>{
+                                    "knn", &cloud},
+                                {"components", &pieces}}) {
+    for (int t : {1, 5, 12, 16}) {
+      for (int iterations : {0, 1, 40}) {
+        ErOptions opt;
+        opt.num_vectors = t;
+        opt.smoothing_iterations = iterations;
+        opt.seed = 900 + static_cast<std::uint64_t>(t);
+        const Matrix want = column_at_a_time_embedding(*g, opt);
+        for (std::size_t threads : {1u, 4u}) {
+          opt.num_threads = threads;
+          const std::string label = std::string(name) + " t=" +
+                                    std::to_string(t) + " iterations=" +
+                                    std::to_string(iterations) + " threads=" +
+                                    std::to_string(threads);
+          EXPECT_EQ(bit_mismatches(
+                        sgm::graph::effective_resistance_embedding(*g, opt),
+                        want, label),
+                    0u)
+              << label;
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------------- LRD --

@@ -96,7 +96,6 @@ TEST(CsrAudit, AcceptsEveryFromEdgesResult) {
 }
 
 TEST(CsrAudit, RejectsMalformedArrays) {
-  using sgm::graph::EdgeId;
   using sgm::graph::NodeId;
   using sgm::util::CheckError;
   // A valid 3-node path 0-1-2 in raw-array form; each case below corrupts
@@ -104,33 +103,38 @@ TEST(CsrAudit, RejectsMalformedArrays) {
   const std::vector<Edge> edges{{0, 1, 1.0}, {1, 2, 2.0}};
   const std::vector<std::size_t> offsets{0, 1, 3, 4};
   const std::vector<NodeId> nbr{1, 0, 2, 1};
-  const std::vector<EdgeId> inc{0, 0, 1, 1};
+  const std::vector<double> nbr_w{1.0, 1.0, 2.0, 2.0};
   const std::vector<double> wdeg{1.0, 3.0, 2.0};
   EXPECT_NO_THROW(
-      sgm::graph::audit_csr_arrays(3, edges, offsets, nbr, inc, wdeg));
+      sgm::graph::audit_csr_arrays(3, edges, offsets, nbr, nbr_w, wdeg));
 
   // Non-canonical edge (v < u).
   EXPECT_THROW(sgm::graph::audit_csr_arrays(3, {{1, 0, 1.0}, {1, 2, 2.0}},
-                                            offsets, nbr, inc, wdeg),
+                                            offsets, nbr, nbr_w, wdeg),
                CheckError);
   // Non-positive weight.
   EXPECT_THROW(sgm::graph::audit_csr_arrays(3, {{0, 1, 0.0}, {1, 2, 2.0}},
-                                            offsets, nbr, inc, wdeg),
+                                            offsets, nbr, nbr_w, wdeg),
                CheckError);
   // Offsets not covering 2|E|.
   EXPECT_THROW(
-      sgm::graph::audit_csr_arrays(3, edges, {0, 1, 3, 3}, nbr, inc, wdeg),
+      sgm::graph::audit_csr_arrays(3, edges, {0, 1, 3, 3}, nbr, nbr_w, wdeg),
       CheckError);
   // Broken symmetry: node 2's row names the wrong neighbor.
-  EXPECT_THROW(
-      sgm::graph::audit_csr_arrays(3, edges, offsets, {1, 0, 2, 0}, inc, wdeg),
-      CheckError);
-  // Adjacency references an edge not incident to the row's node.
-  EXPECT_THROW(
-      sgm::graph::audit_csr_arrays(3, edges, offsets, nbr, {1, 0, 1, 1}, wdeg),
-      CheckError);
+  EXPECT_THROW(sgm::graph::audit_csr_arrays(3, edges, offsets, {1, 0, 2, 0},
+                                            nbr_w, wdeg),
+               CheckError);
+  // A slot's weight disagrees with its edge's (row 1's weights swapped).
+  EXPECT_THROW(sgm::graph::audit_csr_arrays(3, edges, offsets, nbr,
+                                            {1.0, 2.0, 1.0, 2.0}, wdeg),
+               CheckError);
+  // Row 1 names edge (0, 1) twice and drops (1, 2): every slot's neighbor
+  // and weight match some edge, but the rows are not symmetric.
+  EXPECT_THROW(sgm::graph::audit_csr_arrays(3, edges, offsets, {1, 0, 0, 1},
+                                            {1.0, 1.0, 1.0, 2.0}, wdeg),
+               CheckError);
   // Weighted degree out of sync with the edge list.
-  EXPECT_THROW(sgm::graph::audit_csr_arrays(3, edges, offsets, nbr, inc,
+  EXPECT_THROW(sgm::graph::audit_csr_arrays(3, edges, offsets, nbr, nbr_w,
                                             {1.0, 3.5, 2.0}),
                CheckError);
 }

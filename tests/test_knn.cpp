@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "graph/knn.hpp"
 #include "util/rng.hpp"
@@ -12,6 +16,7 @@
 namespace {
 
 using sgm::graph::CsrGraph;
+using sgm::graph::Edge;
 using sgm::graph::KdTree;
 using sgm::graph::KnnGraphOptions;
 using sgm::graph::KnnResult;
@@ -32,16 +37,19 @@ TEST_P(KdTreeVsBrute, ExactAgreement) {
   sgm::util::Rng rng(static_cast<std::uint64_t>(n * 131 + d * 7 + k));
   const Matrix pts = random_points(n, d, rng);
   KdTree tree(pts);
+  KdTree::Neighbors fast;
   for (int probe = 0; probe < 25; ++probe) {
     const auto i =
         static_cast<sgm::graph::NodeId>(rng.uniform_index(pts.rows()));
-    const KnnResult fast = tree.query_point(i, k);
+    tree.query_point(i, k, fast);
     const KnnResult slow = sgm::graph::knn_brute_force(
         pts, pts.row(i), k, static_cast<std::int64_t>(i));
-    ASSERT_EQ(fast.index.size(), slow.index.size());
-    // Distances must agree exactly (ties may permute indices).
-    for (std::size_t t = 0; t < fast.dist2.size(); ++t)
-      EXPECT_NEAR(fast.dist2[t], slow.dist2[t], 1e-12);
+    ASSERT_EQ(fast.size(), slow.index.size());
+    // Ties break on the index, so both select the same (dist2, index) list.
+    for (std::size_t t = 0; t < fast.size(); ++t) {
+      EXPECT_EQ(fast[t].first, slow.dist2[t]);
+      EXPECT_EQ(fast[t].second, slow.index[t]);
+    }
   }
 }
 
@@ -71,9 +79,14 @@ TEST(KdTree, HandlesDuplicatePoints) {
     pts(i, 1) = 0.7;
   }
   KdTree tree(pts);
-  auto r = tree.query_point(0, 3);
-  EXPECT_EQ(r.index.size(), 3u);
-  for (double d2v : r.dist2) EXPECT_DOUBLE_EQ(d2v, 0.0);
+  KdTree::Neighbors r;
+  tree.query_point(0, 3, r);
+  const KnnResult ref = sgm::graph::knn_brute_force(pts, pts.row(0), 3, 0);
+  ASSERT_EQ(r.size(), 3u);
+  for (std::size_t t = 0; t < r.size(); ++t) {
+    EXPECT_EQ(r[t].first, 0.0);
+    EXPECT_EQ(r[t].second, ref.index[t]);  // ties break on the index: 1, 2, 3
+  }
 }
 
 TEST(KnnGraph, UnionSymmetrizationIsConnectedOnBlobs) {
@@ -137,6 +150,130 @@ TEST(KnnGraph, GaussWeightsInUnitInterval) {
   for (const auto& e : g.edges()) {
     EXPECT_GT(e.w, 0.0);
     EXPECT_LE(e.w, 1.0);
+  }
+}
+
+// build_knn_graph's edge list spelled with knn_brute_force: each point's
+// directed candidates in point order, weighted (the Gauss scale is the mean
+// kNN distance, summed per 256-point chunk and the chunk sums merged in
+// order), the mutual filter taken from the smaller end of each pair, then
+// canonical, sorted and deduplicated.
+std::vector<Edge> brute_force_knn_edges(const Matrix& pts,
+                                        const KnnGraphOptions& opt) {
+  const std::size_t n = pts.rows();
+  const std::size_t k = std::min(opt.k, n - 1);
+  std::vector<KnnResult> nn(n);
+  for (std::size_t i = 0; i < n; ++i)
+    nn[i] = sgm::graph::knn_brute_force(pts, pts.row(i), k,
+                                        static_cast<std::int64_t>(i));
+  constexpr std::size_t kSigmaChunk = 256;
+  double sum = 0.0;
+  for (std::size_t b = 0; b < n; b += kSigmaChunk) {
+    double chunk = 0.0;
+    for (std::size_t i = b; i < std::min(n, b + kSigmaChunk); ++i)
+      for (double d2 : nn[i].dist2) chunk += std::sqrt(d2);
+    sum += chunk;
+  }
+  double sigma = n * k > 0 ? sum / static_cast<double>(n * k) : 0.0;
+  if (!(sigma > 0)) sigma = 1.0;
+  std::vector<Edge> edges;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t t = 0; t < nn[i].index.size(); ++t) {
+      const auto j = nn[i].index[t];
+      if (opt.mutual &&
+          (j <= i || std::find(nn[j].index.begin(), nn[j].index.end(), i) ==
+                         nn[j].index.end()))
+        continue;
+      const double d2 = nn[i].dist2[t];
+      double w = 1.0;
+      if (opt.weight == sgm::graph::KnnWeight::kInverse)
+        w = 1.0 / (std::sqrt(d2) + opt.inverse_eps);
+      if (opt.weight == sgm::graph::KnnWeight::kGauss)
+        w = std::exp(-d2 / (2.0 * sigma * sigma));
+      const auto u = static_cast<sgm::graph::NodeId>(i);
+      edges.push_back({std::min(u, j), std::max(u, j), w});
+    }
+  }
+  std::stable_sort(edges.begin(), edges.end(),
+                   [](const Edge& a, const Edge& b) {
+                     return a.u != b.u ? a.u < b.u : a.v < b.v;
+                   });
+  edges.erase(std::unique(edges.begin(), edges.end(),
+                          [](const Edge& a, const Edge& b) {
+                            return a.u == b.u && a.v == b.v;
+                          }),
+              edges.end());
+  return edges;
+}
+
+TEST(KnnGraph, EdgeListIsBitIdenticalToBruteForceReference) {
+  // Union and mutual modes, every weight scheme, 1 and 4 threads, on a cloud
+  // with exact duplicate points (zero distances, index tie-breaks) and more
+  // than one 256-point chunk.
+  sgm::util::Rng rng(41);
+  Matrix pts = random_points(700, 2, rng);
+  for (std::size_t i = 0; i < 60; ++i)
+    for (std::size_t c = 0; c < 2; ++c) pts(640 + i, c) = pts(3 * i, c);
+  for (const bool mutual : {false, true}) {
+    for (const auto weight :
+         {sgm::graph::KnnWeight::kUnit, sgm::graph::KnnWeight::kInverse,
+          sgm::graph::KnnWeight::kGauss}) {
+      KnnGraphOptions opt;
+      opt.k = 7;
+      opt.mutual = mutual;
+      opt.weight = weight;
+      const std::vector<Edge> want = brute_force_knn_edges(pts, opt);
+      for (std::size_t threads : {1u, 4u}) {
+        opt.num_threads = threads;
+        const std::string label =
+            std::string(mutual ? "mutual" : "union") + " weight=" +
+            std::to_string(static_cast<int>(weight)) +
+            " threads=" + std::to_string(threads);
+        const CsrGraph g = sgm::graph::build_knn_graph(pts, opt);
+        ASSERT_EQ(g.edges().size(), want.size()) << label;
+        std::size_t bad = 0;
+        for (std::size_t e = 0; e < want.size(); ++e) {
+          const Edge& a = g.edges()[e];
+          if (a.u == want[e].u && a.v == want[e].v &&
+              std::bit_cast<std::uint64_t>(a.w) ==
+                  std::bit_cast<std::uint64_t>(want[e].w))
+            continue;
+          if (bad++ == 0)
+            ADD_FAILURE() << label << ": edge " << e << " is (" << a.u << ", "
+                          << a.v << ", " << a.w << "), want (" << want[e].u
+                          << ", " << want[e].v << ", " << want[e].w << ")";
+        }
+        EXPECT_EQ(bad, 0u) << label;
+      }
+    }
+  }
+}
+
+TEST(KnnGraph, NanCoordinateQueryThatComesBackShortIsSafe) {
+  // A NaN coordinate prunes the kd-tree search to one leaf (at most 16
+  // points), so with k = 20 that point's query returns fewer than k
+  // neighbors. The build must not read past them, and stays
+  // thread-count independent.
+  sgm::util::Rng rng(43);
+  Matrix pts = random_points(64, 2, rng);
+  pts(10, 0) = std::nan("");
+  pts(10, 1) = std::nan("");
+  KdTree tree(pts);
+  KdTree::Neighbors nbrs;
+  tree.query_point(10, 20, nbrs);
+  ASSERT_LT(nbrs.size(), 20u);
+  KnnGraphOptions opt;
+  opt.k = 20;
+  opt.weight = sgm::graph::KnnWeight::kUnit;
+  opt.num_threads = 1;
+  const CsrGraph serial = sgm::graph::build_knn_graph(pts, opt);
+  opt.num_threads = 4;
+  const CsrGraph threaded = sgm::graph::build_knn_graph(pts, opt);
+  ASSERT_EQ(serial.edges().size(), threaded.edges().size());
+  for (std::size_t e = 0; e < serial.edges().size(); ++e) {
+    EXPECT_EQ(serial.edges()[e].u, threaded.edges()[e].u);
+    EXPECT_EQ(serial.edges()[e].v, threaded.edges()[e].v);
+    EXPECT_LT(serial.edges()[e].u, serial.edges()[e].v);
   }
 }
 

@@ -13,6 +13,8 @@
 //      network's outputs folded into the PGM metric at each tau_G, the
 //      paper's rebuild) also train inside the envelopes, actually rebuild,
 //      and stay byte-identical at 1 vs 4 threads.
+// Separately, the registered kFull S1/S2 builds of ldc_zeroeq and
+// annular_ring_param are pinned by digest at 1 and 4 threads.
 //
 // The smoke budgets keep each scenario in the seconds range; the harness is
 // the one-invocation answer to "does the pipeline still work" after any
@@ -21,13 +23,17 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "core/pgm.hpp"
 #include "core/sgm_sampler.hpp"
+#include "graph/lrd.hpp"
 #include "history_compare.hpp"
 #include "pinn/point_cloud.hpp"
 #include "pinn/scenario.hpp"
@@ -212,6 +218,60 @@ TEST(ScenarioServe, TrainCheckpointServeRoundTripIsExact) {
         << " differs from the trained network";
   }
   fs::remove_all(root);
+}
+
+// FNV-1a 64 over `bits`' eight little-endian bytes, or its low `bytes`.
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t bits, int bytes = 8) {
+  for (int b = 0; b < bytes; ++b) {
+    h ^= (bits >> (8 * b)) & 0xffu;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// The registered kFull S1/S2 build of the two scenarios perfbench trains,
+// pinned by digest: the CSR edge list (u, v as 4 bytes, w's 8 bytes, in
+// order) and node_cluster (4 bytes per node). The values were computed
+// before the ER sweep was grouped by columns and the kNN lists were made
+// flat, and must hold at 1 and 4 threads: a change that moves one bit of
+// the registered clustering fails here.
+TEST(RegisteredClustering, KFullDigestsArePinned) {
+  struct Pin {
+    const char* scenario;
+    std::uint32_t edges, clusters;
+    std::uint64_t edge_digest, cluster_digest;
+  };
+  for (const Pin& pin :
+       {Pin{"ldc_zeroeq", 181454, 1098, 0xa0e1954263a520e5ull,
+            0xf20f08ef56de104cull},
+        Pin{"annular_ring_param", 68133, 1659, 0xf6815eca2be8b6ccull,
+            0x7afec3eccbf3781aull}}) {
+    const ScenarioConfig cfg =
+        ScenarioRegistry::instance().make(pin.scenario, ScenarioScale::kFull);
+    for (std::size_t threads : {1u, 4u}) {
+      const std::string label =
+          std::string(pin.scenario) + " threads=" + std::to_string(threads);
+      sgm::core::PgmOptions pgm = cfg.sgm.pgm;
+      sgm::graph::LrdOptions lrd = cfg.sgm.lrd;
+      pgm.num_threads = lrd.num_threads = threads;
+      const sgm::graph::CsrGraph g =
+          sgm::core::build_pgm(cfg.problem->interior_points(), nullptr, pgm);
+      const sgm::graph::Clustering c = sgm::graph::lrd_decompose(g, lrd);
+      std::uint64_t edge_digest = 1469598103934665603ull;
+      for (const sgm::graph::Edge& e : g.edges()) {
+        edge_digest = fnv1a(edge_digest, e.u, 4);
+        edge_digest = fnv1a(edge_digest, e.v, 4);
+        edge_digest = fnv1a(edge_digest, std::bit_cast<std::uint64_t>(e.w));
+      }
+      std::uint64_t cluster_digest = 1469598103934665603ull;
+      for (const sgm::graph::NodeId id : c.node_cluster)
+        cluster_digest = fnv1a(cluster_digest, id, 4);
+      EXPECT_EQ(g.num_edges(), pin.edges) << label;
+      EXPECT_EQ(c.num_clusters, pin.clusters) << label;
+      EXPECT_EQ(edge_digest, pin.edge_digest) << label;
+      EXPECT_EQ(cluster_digest, pin.cluster_digest) << label;
+    }
+  }
 }
 
 TEST(ScenarioRegistry, ExposesAllBuiltinScenarios) {
