@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <stdexcept>
 #include <vector>
+
+#include "cfd/wavefront.hpp"
 
 namespace sgm::cfd {
 
@@ -37,19 +40,22 @@ void iterate(LdcSolution& sol, const LdcOptions& opt) {
   Matrix& u = sol.u;
   Matrix& v = sol.v;
   Matrix& psi = sol.psi;
-  Matrix& w = sol.omega;
+  Matrix& omega = sol.omega;
+  // The sweeps index raw storage: a store through Matrix& could alias the
+  // matrices' own members, which would force a reload after every update.
+  double* const p = psi.data();
+  double* const w = omega.data();
+  const double* const u_data = u.data();
+  const double* const v_data = v.data();
 
   for (int outer = 0; outer < opt.max_iterations; ++outer) {
     // --- Streamfunction Poisson solve: nabla^2 psi = -omega (SOR) ---
     for (int sweep = 0; sweep < kPsiSweeps; ++sweep) {
-      for (int j = 1; j < n - 1; ++j) {
-        for (int i = 1; i < n - 1; ++i) {
-          const double gs = 0.25 * (psi(j, i + 1) + psi(j, i - 1) +
-                                    psi(j + 1, i) + psi(j - 1, i) +
-                                    h * h * w(j, i));
-          psi(j, i) += kPsiRelaxation * (gs - psi(j, i));
-        }
-      }
+      wavefront_sweep(n, [=](std::ptrdiff_t k) {
+        const double gs =
+            0.25 * (p[k + 1] + p[k - 1] + p[k + n] + p[k - n] + h * h * w[k]);
+        p[k] += kPsiRelaxation * (gs - p[k]);
+      });
     }
 
     // --- Velocities from the streamfunction (central differences) ---
@@ -62,35 +68,32 @@ void iterate(LdcSolution& sol, const LdcOptions& opt) {
 
     // --- Wall vorticity via Thom's formula ---
     for (int i = 0; i < n; ++i) {
-      w(0, i) = -2.0 * psi(1, i) / (h * h);                  // bottom
-      w(n - 1, i) = -2.0 * psi(n - 2, i) / (h * h) -
-                    2.0 * opt.lid_velocity / h;              // moving lid
+      omega(0, i) = -2.0 * psi(1, i) / (h * h);              // bottom
+      omega(n - 1, i) = -2.0 * psi(n - 2, i) / (h * h) -
+                        2.0 * opt.lid_velocity / h;          // moving lid
     }
     for (int j = 0; j < n; ++j) {
-      w(j, 0) = -2.0 * psi(j, 1) / (h * h);                  // left
-      w(j, n - 1) = -2.0 * psi(j, n - 2) / (h * h);          // right
+      omega(j, 0) = -2.0 * psi(j, 1) / (h * h);              // left
+      omega(j, n - 1) = -2.0 * psi(j, n - 2) / (h * h);      // right
     }
 
     // --- Vorticity transport: first-order upwind, Gauss-Seidel ---
     double max_delta = 0.0;
     bool finite = true;  // std::max drops a NaN, so track it separately
-    for (int j = 1; j < n - 1; ++j) {
-      for (int i = 1; i < n - 1; ++i) {
-        const double uij = u(j, i), vij = v(j, i);
-        const double ae = inv_re_h2 + std::max(-uij, 0.0) / h;
-        const double aw = inv_re_h2 + std::max(uij, 0.0) / h;
-        const double an = inv_re_h2 + std::max(-vij, 0.0) / h;
-        const double as = inv_re_h2 + std::max(vij, 0.0) / h;
-        const double ap = ae + aw + an + as;
-        const double wnew = (ae * w(j, i + 1) + aw * w(j, i - 1) +
-                             an * w(j + 1, i) + as * w(j - 1, i)) /
-                            ap;
-        const double delta = wnew - w(j, i);
-        max_delta = std::max(max_delta, std::fabs(delta));
-        finite = finite && std::isfinite(delta);
-        w(j, i) = wnew;
-      }
-    }
+    wavefront_sweep(n, [&](std::ptrdiff_t k) {
+      const double uij = u_data[k], vij = v_data[k];
+      const double ae = inv_re_h2 + std::max(-uij, 0.0) / h;
+      const double aw = inv_re_h2 + std::max(uij, 0.0) / h;
+      const double an = inv_re_h2 + std::max(-vij, 0.0) / h;
+      const double as = inv_re_h2 + std::max(vij, 0.0) / h;
+      const double ap = ae + aw + an + as;
+      const double wnew =
+          (ae * w[k + 1] + aw * w[k - 1] + an * w[k + n] + as * w[k - n]) / ap;
+      const double delta = wnew - w[k];
+      max_delta = std::max(max_delta, std::fabs(delta));
+      finite = finite && std::isfinite(delta);
+      w[k] = wnew;
+    });
 
     sol.iterations = outer + 1;
     if (!finite) return;

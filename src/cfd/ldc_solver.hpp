@@ -12,6 +12,14 @@
 // of the vorticity transport. A grid stops once max |d omega| of a sweep is
 // below `tolerance` after more than 10 outer iterations.
 //
+// Both Gauss-Seidel sweeps run in cfd/wavefront.hpp's order: interior rows
+// in groups of 8, row j0 + r at column t - r at step t. Every node still
+// reads new west/south and old east/north values, as in lexicographic
+// order, so the fields and `iterations` are bit-identical to that order's,
+// and the stopping test is too: max |d omega| is a max over finite values,
+// which no order changes, and a non-finite update ends the solve whatever
+// the max. The 8 rows are independent chains the core overlaps.
+//
 // The grids are nested: while n - 1 is even and the coarser grid keeps at
 // least 17 points per side, the solve first runs on grid (n + 1) / 2 and
 // starts grid n from the bilinear prolongation of its psi and omega

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <stdexcept>
+
+#include "cfd/wavefront.hpp"
 
 namespace sgm::cfd {
 
@@ -37,20 +40,21 @@ PoissonFdmSolution solve_poisson_dirichlet(
   for (int j = 1; j < n - 1; ++j)
     for (int i = 1; i < n - 1; ++i) src(j, i) = f(i * h, j * h);
 
+  // The sweep indexes raw storage (see ldc_solver.cpp).
+  double* const t = sol.t.data();
+  const double* const q = src.data();
+  const double relaxation = opt.relaxation;
   for (int sweep = 0; sweep < opt.max_sweeps; ++sweep) {
     double max_delta = 0.0;
     bool finite = true;  // std::max drops a NaN, so track it separately
-    for (int j = 1; j < n - 1; ++j) {
-      for (int i = 1; i < n - 1; ++i) {
-        const double gs = 0.25 * (sol.t(j, i + 1) + sol.t(j, i - 1) +
-                                  sol.t(j + 1, i) + sol.t(j - 1, i) +
-                                  h * h * src(j, i));
-        const double delta = gs - sol.t(j, i);
-        sol.t(j, i) += opt.relaxation * delta;
-        max_delta = std::max(max_delta, std::fabs(delta));
-        finite = finite && std::isfinite(delta);
-      }
-    }
+    wavefront_sweep(n, [&](std::ptrdiff_t k) {
+      const double gs =
+          0.25 * (t[k + 1] + t[k - 1] + t[k + n] + t[k - n] + h * h * q[k]);
+      const double delta = gs - t[k];
+      t[k] += relaxation * delta;
+      max_delta = std::max(max_delta, std::fabs(delta));
+      finite = finite && std::isfinite(delta);
+    });
     sol.sweeps = sweep + 1;
     if (!finite) break;
     if (max_delta < opt.tolerance) {

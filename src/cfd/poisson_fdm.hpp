@@ -6,6 +6,12 @@
 // "chip thermal analysis" CAD workload motivating the paper's intro): f is
 // the power-density map of a die, T the temperature rise over the ambient
 // heat-sink boundary.
+//
+// The SOR sweep runs in cfd/wavefront.hpp's order (rows in groups of 8, row
+// j0 + r at column t - r at step t), which reads the same new west/south and
+// old east/north values as lexicographic order: T and `sweeps` are
+// bit-identical to that order's, as the max change per sweep is a max over
+// finite values and a non-finite update ends the solve.
 
 #include <functional>
 

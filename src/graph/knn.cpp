@@ -1,7 +1,6 @@
 #include "graph/knn.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
@@ -150,57 +149,46 @@ KnnResult knn_brute_force(const Matrix& points, const double* query,
   return heap_to_result(std::move(heap));
 }
 
-void symmetrize_edges(std::vector<Edge>& edges, std::size_t num_threads) {
-  const std::size_t m = edges.size();
-  if (m == 0) return;
-  util::parallel_for(0, m, num_threads, [&edges](std::size_t i) {
-    if (edges[i].u > edges[i].v) std::swap(edges[i].u, edges[i].v);
-  });
-
-  const auto less = [](const Edge& a, const Edge& b) {
-    return a.u != b.u ? a.u < b.u : a.v < b.v;
-  };
-  // Fixed block-sort + merge tree: the block boundaries and merge order
-  // never depend on the thread count, only on m, so every num_threads
-  // produces the same sorted sequence.
-  constexpr std::size_t kBlocks = 8;
-  if (m < 2 * kBlocks) {
-    std::sort(edges.begin(), edges.end(), less);
-  } else {
-    std::array<std::size_t, kBlocks + 1> bound;
-    for (std::size_t b = 0; b <= kBlocks; ++b) bound[b] = m * b / kBlocks;
-    util::parallel_for_chunks(
-        0, kBlocks, 1, num_threads,
-        [&](std::size_t b, std::size_t e, std::size_t) {
-          for (std::size_t blk = b; blk < e; ++blk)
-            std::sort(edges.begin() + static_cast<std::ptrdiff_t>(bound[blk]),
-                      edges.begin() +
-                          static_cast<std::ptrdiff_t>(bound[blk + 1]),
-                      less);
-        });
-    for (std::size_t width = 1; width < kBlocks; width *= 2) {
-      const std::size_t step = 2 * width;
-      util::parallel_for_chunks(
-          0, kBlocks / step, 1, num_threads,
-          [&](std::size_t b, std::size_t e, std::size_t) {
-            for (std::size_t t = b; t < e; ++t) {
-              const std::size_t s = t * step;
-              std::inplace_merge(
-                  edges.begin() + static_cast<std::ptrdiff_t>(bound[s]),
-                  edges.begin() +
-                      static_cast<std::ptrdiff_t>(bound[s + width]),
-                  edges.begin() + static_cast<std::ptrdiff_t>(
-                                      bound[std::min(s + step, kBlocks)]),
-                  less);
-            }
-          });
+void symmetrize_edges(std::vector<Edge>& edges) {
+  if (edges.empty()) return;
+  NodeId top = 0;  // largest smaller endpoint
+  for (Edge& e : edges) {
+    if (e.u > e.v) std::swap(e.u, e.v);
+    top = std::max(top, e.u);
+  }
+  // Counting sort by u: bucket u spans [start[u], start[u + 1]) of `sorted`.
+  std::vector<std::size_t> start(std::size_t{top} + 2, 0);
+  for (const Edge& e : edges) ++start[std::size_t{e.u} + 1];
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  std::vector<Edge> sorted(edges.size());
+  {
+    std::vector<std::size_t> fill(start.begin(), start.end() - 1);
+    for (const Edge& e : edges) sorted[fill[e.u]++] = e;
+  }
+  // Then each bucket by v: an insertion sort, as a kNN list's buckets hold
+  // about 2k edges each, and std::sort for a long one.
+  constexpr std::size_t kInsertionSortMax = 64;
+  for (std::size_t u = 0; u + 1 < start.size(); ++u) {
+    const std::size_t b = start[u], e = start[u + 1];
+    if (e - b > kInsertionSortMax) {
+      std::sort(sorted.begin() + static_cast<std::ptrdiff_t>(b),
+                sorted.begin() + static_cast<std::ptrdiff_t>(e),
+                [](const Edge& x, const Edge& y) { return x.v < y.v; });
+      continue;
+    }
+    for (std::size_t i = b + 1; i < e; ++i) {
+      const Edge x = sorted[i];
+      std::size_t j = i;
+      for (; j > b && sorted[j - 1].v > x.v; --j) sorted[j] = sorted[j - 1];
+      sorted[j] = x;
     }
   }
-  edges.erase(std::unique(edges.begin(), edges.end(),
-                          [](const Edge& a, const Edge& b) {
-                            return a.u == b.u && a.v == b.v;
-                          }),
-              edges.end());
+  sorted.erase(std::unique(sorted.begin(), sorted.end(),
+                           [](const Edge& a, const Edge& b) {
+                             return a.u == b.u && a.v == b.v;
+                           }),
+               sorted.end());
+  edges.swap(sorted);
 }
 
 namespace {
@@ -302,7 +290,7 @@ CsrGraph build_knn_graph(const Matrix& points, const KnnGraphOptions& options) {
   // from_edges merges duplicates by *summing*; deduplicate the symmetric
   // pairs first so union edges keep their single weight (the two directions
   // of a pair carry bit-equal weights: dist2(i, j) == dist2(j, i)).
-  symmetrize_edges(edges, threads);
+  symmetrize_edges(edges);
   return CsrGraph::from_edges(static_cast<NodeId>(n), std::move(edges));
 }
 

@@ -85,10 +85,10 @@ struct KnnGraphOptions {
   /// (a directed edge either way becomes one undirected edge). Union is the
   /// default — it keeps the PGM connected at small k.
   bool mutual = false;
-  /// Worker threads for the per-point queries, the edge weighting and the
-  /// symmetrize/sort/dedup. 0 = util::resolve_threads default (hardware
-  /// concurrency / SGM_NUM_THREADS), 1 = serial. Any value produces
-  /// byte-identical graphs (see util/thread_pool.hpp's determinism
+  /// Worker threads for the per-point queries and the edge weighting; the
+  /// symmetrize/sort/dedup is serial. 0 = util::resolve_threads default
+  /// (hardware concurrency / SGM_NUM_THREADS), 1 = serial. Any value
+  /// produces byte-identical graphs (see util/thread_pool.hpp's determinism
   /// contract).
   std::size_t num_threads = 0;
 };
@@ -99,10 +99,12 @@ struct KnnGraphOptions {
 CsrGraph build_knn_graph(const tensor::Matrix& points,
                          const KnnGraphOptions& options);
 
-/// Canonicalizes every edge to u < v, sorts by (u, v) and drops duplicate
-/// pairs, keeping one representative per pair. The block-sort/merge
-/// structure is fixed (independent of `num_threads`), so the result is
-/// byte-identical for any thread count.
-void symmetrize_edges(std::vector<Edge>& edges, std::size_t num_threads);
+/// Canonicalizes every edge to u <= v, sorts by (u, v) and drops duplicate
+/// pairs, keeping one representative per pair. A counting sort by u, then
+/// each u's bucket by v, insertion-sorted when short (a kNN list's buckets
+/// hold about 2k edges), so a kNN list sorts in linear time. Which
+/// duplicate survives is unspecified: the bytes are fixed when duplicates
+/// carry bit-equal weights, as the two directions of a kNN pair do. Serial.
+void symmetrize_edges(std::vector<Edge>& edges);
 
 }  // namespace sgm::graph

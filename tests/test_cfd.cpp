@@ -1,42 +1,72 @@
 // Tests for the validation-data substrate: the lid-driven-cavity FDM solver
-// (against the published Ghia et al. 1982 benchmark profiles) and the
-// analytic annular-Poiseuille reference.
+// (against the published Ghia et al. 1982 benchmark profiles), the bitwise
+// pins of both FDM solvers and the wavefront order their sweeps share, and
+// the analytic annular-Poiseuille reference.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <initializer_list>
 #include <limits>
+#include <map>
 #include <utility>
 #include <vector>
 
 #include "cfd/analytic.hpp"
 #include "cfd/ldc_solver.hpp"
+#include "cfd/poisson_fdm.hpp"
+#include "cfd/wavefront.hpp"
+#include "pinn/thermal.hpp"
 
 namespace {
 
 using sgm::cfd::AnnularPoiseuille;
 using sgm::cfd::LdcOptions;
 using sgm::cfd::LdcSolution;
+using sgm::tensor::Matrix;
 
-const LdcSolution& solved_cavity_re100() {
-  static const LdcSolution sol = [] {
+/// One solve per (n, Re) with the default options, shared by every test.
+const LdcSolution& solved_cavity(int n, double reynolds) {
+  static std::map<std::pair<int, double>, LdcSolution> solved;
+  auto it = solved.find({n, reynolds});
+  if (it == solved.end()) {
     LdcOptions opt;
-    opt.n = 81;
-    opt.reynolds = 100.0;
-    opt.tolerance = 1e-7;
-    return sgm::cfd::solve_lid_driven_cavity(opt);
-  }();
-  return sol;
+    opt.n = n;
+    opt.reynolds = reynolds;
+    it = solved
+             .emplace(std::pair{n, reynolds},
+                      sgm::cfd::solve_lid_driven_cavity(opt))
+             .first;
+  }
+  return it->second;
+}
+
+/// FNV-1a over the bit patterns of the fields' doubles, in row-major order.
+std::uint64_t digest(std::initializer_list<const Matrix*> fields) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const Matrix* f : fields) {
+    for (std::size_t e = 0; e < f->size(); ++e) {
+      const auto bits = std::bit_cast<std::uint64_t>(f->data()[e]);
+      for (int b = 0; b < 8; ++b) {
+        h ^= (bits >> (8 * b)) & 0xffu;
+        h *= 1099511628211ull;
+      }
+    }
+  }
+  return h;
 }
 
 TEST(LdcSolver, Converges) {
-  const auto& sol = solved_cavity_re100();
+  const auto& sol = solved_cavity(81, 100.0);
   EXPECT_TRUE(sol.converged);
   EXPECT_GT(sol.iterations, 10);
 }
 
 TEST(LdcSolver, BoundaryConditionsHold) {
-  const auto& sol = solved_cavity_re100();
+  const auto& sol = solved_cavity(81, 100.0);
   const int n = sol.n;
   for (int i = 0; i < n; ++i) {
     EXPECT_DOUBLE_EQ(sol.u(0, i), 0.0);          // bottom wall
@@ -51,7 +81,7 @@ TEST(LdcSolver, BoundaryConditionsHold) {
 }
 
 TEST(LdcSolver, MatchesGhiaUCenterline) {
-  const auto& sol = solved_cavity_re100();
+  const auto& sol = solved_cavity(81, 100.0);
   for (const auto& [y, u_ref] : sgm::cfd::ghia_re100_u_centerline()) {
     const double u = sol.sample_u(0.5, y);
     // First-order upwind on an 81^2 grid: expect agreement within ~0.035.
@@ -60,7 +90,7 @@ TEST(LdcSolver, MatchesGhiaUCenterline) {
 }
 
 TEST(LdcSolver, MatchesGhiaVCenterline) {
-  const auto& sol = solved_cavity_re100();
+  const auto& sol = solved_cavity(81, 100.0);
   for (const auto& [x, v_ref] : sgm::cfd::ghia_re100_v_centerline()) {
     const double v = sol.sample_v(x, 0.5);
     EXPECT_NEAR(v, v_ref, 0.035) << "at x=" << x;
@@ -69,7 +99,7 @@ TEST(LdcSolver, MatchesGhiaVCenterline) {
 
 TEST(LdcSolver, MassConservationInBulk) {
   // Continuity: du/dx + dv/dy ~ 0 away from walls (central differences).
-  const auto& sol = solved_cavity_re100();
+  const auto& sol = solved_cavity(81, 100.0);
   const int n = sol.n;
   const double h = sol.h;
   double worst = 0.0;
@@ -85,7 +115,7 @@ TEST(LdcSolver, MassConservationInBulk) {
 
 TEST(LdcSolver, StreamfunctionMinimumLocation) {
   // The Re=100 primary vortex center sits near (0.6172, 0.7344) (Ghia).
-  const auto& sol = solved_cavity_re100();
+  const auto& sol = solved_cavity(81, 100.0);
   double best = 1e9;
   double bx = 0, by = 0;
   for (int j = 1; j < sol.n - 1; ++j)
@@ -143,15 +173,42 @@ TEST(LdcSolver, MatchesPinnedRegisteredReference) {
       {0.9688, -0.051722734443721254},
       {1.0000, 0},
   };
-  LdcOptions opt;
-  opt.n = 81;
-  opt.reynolds = 10.0;
-  const LdcSolution sol = sgm::cfd::solve_lid_driven_cavity(opt);
+  const LdcSolution& sol = solved_cavity(81, 10.0);
   ASSERT_TRUE(sol.converged);
   for (const auto& [y, u] : u_at_x_half)
     EXPECT_NEAR(sol.sample_u(0.5, y), u, 1e-5) << "at y=" << y;
   for (const auto& [x, v] : v_at_y_half)
     EXPECT_NEAR(sol.sample_v(x, 0.5), v, 1e-5) << "at x=" << x;
+}
+
+TEST(LdcSolver, FieldsAreBitIdenticalToPins) {
+  // u, v, psi and omega bit for bit, and the finest grid's iteration count,
+  // as the lexicographic sweeps computed them before the wavefront order
+  // replaced them. The grids cover one group of fewer than kWavefrontRows interior rows
+  // (n = 8), tail groups of 3 (n = 21) and 7 rows (n = 41, 81; the n = 81
+  // solve nests 21 -> 41 -> 81) and whole groups only (n = 50).
+  struct Pin {
+    int n;
+    double reynolds;
+    int iterations;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {8, 10.0, 31, 4226035537874200806ull},
+      {21, 10.0, 221, 5277470687459635863ull},
+      {41, 10.0, 445, 13446468118615083245ull},
+      {50, 10.0, 1129, 10746170627294768548ull},
+      {81, 10.0, 1249, 10803757343583502664ull},
+      {81, 100.0, 2091, 16373173395404434120ull},
+  };
+  for (const Pin& pin : pins) {
+    const LdcSolution& sol = solved_cavity(pin.n, pin.reynolds);
+    EXPECT_TRUE(sol.converged) << "n=" << pin.n << " Re=" << pin.reynolds;
+    EXPECT_EQ(sol.iterations, pin.iterations)
+        << "n=" << pin.n << " Re=" << pin.reynolds;
+    EXPECT_EQ(digest({&sol.u, &sol.v, &sol.psi, &sol.omega}), pin.digest)
+        << "n=" << pin.n << " Re=" << pin.reynolds;
+  }
 }
 
 TEST(LdcSolver, RejectsBadOptions) {
@@ -204,11 +261,87 @@ TEST(LdcSolver, IterationBudgetExhaustedIsNotConverged) {
 }
 
 TEST(LdcSolver, BilinearSamplingInterpolates) {
-  const auto& sol = solved_cavity_re100();
+  const auto& sol = solved_cavity(81, 100.0);
   // At grid nodes sampling returns the stored value.
   EXPECT_NEAR(sol.sample_u(0.5, 1.0), 1.0, 1e-12);
   // Clamps out-of-range coordinates.
   EXPECT_NO_THROW(sol.sample_u(-0.5, 2.0));
+}
+
+// ------------------------------------------------- Poisson FDM (chip) ----
+
+TEST(PoissonFdm, ChipThermalFieldIsBitIdenticalToPins) {
+  // The chip_thermal reference's source and options (n = 129 is the
+  // registered grid), T bit for bit and the sweep count, as the
+  // lexicographic sweep computed them. The interior has
+  // 6 rows at n = 8, and a tail group of 7 rows at n = 33, 65 and 129.
+  sgm::pinn::ChipThermalProblem::Options options;
+  options.interior_points = 16;
+  options.boundary_points = 8;
+  options.reference_grid = 8;
+  const sgm::pinn::ChipThermalProblem chip(options);
+  struct Pin {
+    int n;
+    int sweeps;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {8, 185, 2406489668799749817ull},
+      {33, 190, 6018490749064754879ull},
+      {65, 275, 8000418177588889421ull},
+      {129, 1272, 9251323705869490301ull},
+  };
+  for (const Pin& pin : pins) {
+    sgm::cfd::PoissonFdmOptions opt;
+    opt.n = pin.n;
+    const auto sol = sgm::cfd::solve_poisson_dirichlet(
+        [&chip](double x, double y) { return chip.power_density(x, y); },
+        opt);
+    EXPECT_TRUE(sol.converged) << "n=" << pin.n;
+    EXPECT_EQ(sol.sweeps, pin.sweeps) << "n=" << pin.n;
+    EXPECT_EQ(digest({&sol.t}), pin.digest) << "n=" << pin.n;
+  }
+}
+
+// ------------------------------------------------------- wavefront order ----
+
+TEST(Wavefront, VisitsEachNodeOnceInGaussSeidelOrder) {
+  // Each interior node exactly once, after its west and south neighbours
+  // and before its east and north ones; boundary nodes never.
+  for (int n = 8; n <= 40; ++n) {
+    const std::ptrdiff_t cells = std::ptrdiff_t{n} * n;
+    std::vector<int> when(static_cast<std::size_t>(cells), -1);
+    int visits = 0, bad_visits = 0;
+    sgm::cfd::wavefront_sweep(n, [&](std::ptrdiff_t k) {
+      if (k < 0 || k >= cells || when[static_cast<std::size_t>(k)] != -1) {
+        ++bad_visits;  // out of the grid, or a repeat
+        return;
+      }
+      when[static_cast<std::size_t>(k)] = visits++;
+    });
+    EXPECT_EQ(bad_visits, 0) << "n=" << n;
+    EXPECT_EQ(visits, (n - 2) * (n - 2)) << "n=" << n;
+    int misordered = 0, boundary = 0;
+    for (int j = 0; j < n; ++j) {
+      for (int i = 0; i < n; ++i) {
+        const auto at = [&](int jj, int ii) {
+          return when[static_cast<std::size_t>(jj * n + ii)];
+        };
+        if (j == 0 || i == 0 || j == n - 1 || i == n - 1) {
+          boundary += at(j, i) != -1;
+          continue;
+        }
+        const int t = at(j, i);
+        if (t == -1) continue;  // counted by `visits`
+        if (i > 1 && !(at(j, i - 1) < t)) ++misordered;      // west
+        if (j > 1 && !(at(j - 1, i) < t)) ++misordered;      // south
+        if (i < n - 2 && !(t < at(j, i + 1))) ++misordered;  // east
+        if (j < n - 2 && !(t < at(j + 1, i))) ++misordered;  // north
+      }
+    }
+    EXPECT_EQ(misordered, 0) << "n=" << n;
+    EXPECT_EQ(boundary, 0) << "n=" << n;
+  }
 }
 
 // ----------------------------------------------------- annular Poiseuille --

@@ -245,31 +245,50 @@ TEST(ParallelRefresh, LrdClusteringIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelRefresh, SymmetrizeEdgesMatchesSerialReference) {
-  // Random multi-edge soup with duplicates both ways around.
+  // An edge soup with both directions of a pair, exact duplicates,
+  // self-loops and a hub, against a canonicalize + std::sort + std::unique
+  // reference.
+  // A pair's weight depends only on the pair, as in the kNN build (where
+  // dist2(i, j) == dist2(j, i)), so the kept duplicate's bytes are fixed.
+  using sgm::graph::Edge;
+  using sgm::graph::NodeId;
+  const auto edge = [](NodeId u, NodeId v) {
+    return Edge{u, v, 1.0 + std::min(u, v) + 1e-3 * std::max(u, v)};
+  };
   sgm::util::Rng rng(26);
-  std::vector<sgm::graph::Edge> edges;
+  std::vector<Edge> edges;
   for (int i = 0; i < 5000; ++i) {
-    const auto u = static_cast<sgm::graph::NodeId>(rng.uniform_index(300));
-    const auto v = static_cast<sgm::graph::NodeId>(rng.uniform_index(300));
-    if (u == v) continue;
-    edges.push_back({u, v, 1.0 + static_cast<double>(std::min(u, v))});
+    const auto u = static_cast<NodeId>(rng.uniform_index(300));
+    const auto v = static_cast<NodeId>(rng.uniform_index(300));
+    edges.push_back(edge(u, v));
+    if (i % 7 == 0) edges.push_back(edge(u, v));    // exact duplicate
+    if (i % 11 == 0) edges.push_back(edge(v, u));   // reversed pair
+    if (i % 13 == 0) edges.push_back(edge(u, u));   // self-loop
   }
-  auto serial = edges;
-  sgm::graph::symmetrize_edges(serial, 1);
-  auto parallel = edges;
-  sgm::graph::symmetrize_edges(parallel, 4);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].u, parallel[i].u);
-    EXPECT_EQ(serial[i].v, parallel[i].v);
-    EXPECT_EQ(serial[i].w, parallel[i].w);
-    EXPECT_LT(serial[i].u, serial[i].v);
-    if (i > 0) {
-      EXPECT_TRUE(serial[i - 1].u < serial[i].u ||
-                  (serial[i - 1].u == serial[i].u &&
-                   serial[i - 1].v < serial[i].v));
-    }
+  // A hub: node 0's bucket outgrows the insertion-sorted length.
+  for (NodeId v = 0; v < 300; v += 2) edges.push_back(edge(v, 0));
+  std::vector<Edge> expected = edges;
+  for (Edge& e : expected)
+    if (e.u > e.v) std::swap(e.u, e.v);
+  std::sort(expected.begin(), expected.end(),
+            [](const Edge& a, const Edge& b) {
+              return a.u != b.u ? a.u < b.u : a.v < b.v;
+            });
+  expected.erase(std::unique(expected.begin(), expected.end(),
+                             [](const Edge& a, const Edge& b) {
+                               return a.u == b.u && a.v == b.v;
+                             }),
+                 expected.end());
+  sgm::graph::symmetrize_edges(edges);
+  ASSERT_EQ(edges.size(), expected.size());
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    EXPECT_EQ(edges[i].u, expected[i].u) << "edge " << i;
+    EXPECT_EQ(edges[i].v, expected[i].v) << "edge " << i;
+    EXPECT_EQ(edges[i].w, expected[i].w) << "edge " << i;
   }
+  std::vector<Edge> empty;
+  sgm::graph::symmetrize_edges(empty);
+  EXPECT_TRUE(empty.empty());
 }
 
 }  // namespace
